@@ -234,8 +234,7 @@ func (c *Client) LocalTrainSteps(round int, global []float64, maxSteps int) Upda
 		c.SetScalar(ScalarDeviceSteps, float64(maxSteps))
 	}
 	algo.BeginRound(c, round, global)
-	fg, hasFG := algo.(FeatureGradder)
-	lg, hasLG := algo.(LogitGradder)
+	fg, lg := e.fg, e.lg
 	rng := c.RNG()
 
 	var lossSum float64
@@ -274,11 +273,11 @@ func (c *Client) LocalTrainSteps(round int, global []float64, maxSteps int) Upda
 			lossSum += nn.SoftmaxCrossEntropy(logits, e.batchY, e.dLogits)
 			batches++
 
-			if hasLG {
+			if lg != nil {
 				lg.LogitGrad(c, e.batchX, e.batchY, logits, e.dLogits)
 			}
 			var extra *tensor.Tensor
-			if hasFG {
+			if fg != nil {
 				feat := e.model.Features()
 				if e.featGrad == nil || !tensor.SameShape(e.featGrad, feat) {
 					e.featGrad = tensor.New(feat.Shape()...)

@@ -55,6 +55,12 @@ type engine struct {
 	// snapshots (e.g. an algorithm's copy of the received global model)
 	// that live with the engine instead of with each of 10k clients.
 	roundVecs map[string][]float64
+
+	// fg and lg are cfg.Algo's optional gradient hooks (nil when absent),
+	// asserted once here: an interface assertion in the training loop can
+	// allocate the first time the runtime caches its result.
+	fg FeatureGradder
+	lg LogitGradder
 }
 
 // newEngine builds one training engine. seed determines the (irrelevant,
@@ -70,6 +76,8 @@ func newEngine(cfg *Config, seed int64) (*engine, error) {
 		model:   m,
 		seedRng: seedStream(seed, streamScratch),
 	}
+	e.fg, _ = cfg.Algo.(FeatureGradder)
+	e.lg, _ = cfg.Algo.(LogitGradder)
 	if oc, ok := cfg.Algo.(OptimizerChooser); ok {
 		e.opt = oc.NewOptimizer(cfg.LR, cfg.Momentum)
 	} else {

@@ -26,13 +26,14 @@ type convLayer struct {
 	x           *tensor.Tensor
 	y, dx       *tensor.Tensor
 	dy          *tensor.Tensor // backward input, shared with workers
-	scratch     sync.Pool      // *convScratch
+	scratch     parallel.FreeList[convScratch]
+	noDX        bool // input layer: Backward skips dx and dcol
 }
 
 // convScratch is one worker's im2col and gradient-accumulation storage.
 // The out/dout tensors are header-only views whose Data is re-pointed at
 // the current sample's slice of the batch output, so per-sample matmul
-// calls allocate nothing.
+// calls allocate nothing. dcol is nil in an input layer.
 type convScratch struct {
 	col, dcol *tensor.Tensor
 	dw        *tensor.Tensor
@@ -41,18 +42,19 @@ type convScratch struct {
 }
 
 func (l *convLayer) getScratch() *convScratch {
-	if v := l.scratch.Get(); v != nil {
-		return v.(*convScratch)
+	cs := l.scratch.Get()
+	if cs.col == nil { // fresh from the list
+		g := l.geom
+		cs.col = tensor.New(g.ColRows(), g.ColCols())
+		cs.dw = tensor.New(l.outC, g.ColRows())
+		cs.db = make([]float64, l.outC)
+		cs.out = tensor.New(l.outC, g.ColCols())
+		cs.dout = tensor.New(l.outC, g.ColCols())
+		if !l.noDX {
+			cs.dcol = tensor.New(g.ColRows(), g.ColCols())
+		}
 	}
-	g := l.geom
-	return &convScratch{
-		col:  tensor.New(g.ColRows(), g.ColCols()),
-		dcol: tensor.New(g.ColRows(), g.ColCols()),
-		dw:   tensor.New(l.outC, g.ColRows()),
-		db:   make([]float64, l.outC),
-		out:  tensor.New(l.outC, g.ColCols()),
-		dout: tensor.New(l.outC, g.ColCols()),
-	}
+	return cs
 }
 
 // Conv2D appends a convolution with outC filters of size k x k.
@@ -97,6 +99,8 @@ func (l *convLayer) Bind(params, grads []float64, rng *prng.Rand) {
 	}
 }
 
+func (l *convLayer) skipDataGrad() { l.noDX = true }
+
 func (l *convLayer) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n := x.Dim(0)
 	l.x = x
@@ -139,9 +143,11 @@ func (l *convLayer) forwardChunk(lo, hi int) {
 func (l *convLayer) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	n := dy.Dim(0)
 	g := l.geom
-	if l.dx == nil {
+	switch {
+	case l.noDX: // an input layer has no dx
+	case l.dx == nil:
 		l.dx = tensor.New(n, g.InC, g.InH, g.InW)
-	} else if l.dx.Dim(0) != n {
+	case l.dx.Dim(0) != n:
 		l.dx.SetDim0(n)
 	}
 	l.dy = dy
@@ -187,6 +193,9 @@ func (l *convLayer) backwardChunkLocked(lo, hi int, mu *sync.Mutex) {
 				sum += v
 			}
 			cs.db[f] += sum
+		}
+		if l.noDX {
+			continue
 		}
 		// dcol = W^T x dOut; dx_s = col2im(dcol).
 		tensor.MatMulATB(cs.dcol, l.wView, dout)

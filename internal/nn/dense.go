@@ -18,6 +18,7 @@ type denseLayer struct {
 	x       *tensor.Tensor // cached input for backward
 	dx      *tensor.Tensor // scratch for input gradient
 	y       *tensor.Tensor // scratch for output
+	noDX    bool           // input layer: Backward skips dx
 }
 
 // Dense appends a fully connected layer with the given output width.
@@ -57,6 +58,8 @@ func (l *denseLayer) Bind(params, grads []float64, rng *prng.Rand) {
 	}
 }
 
+func (l *denseLayer) skipDataGrad() { l.noDX = true }
+
 func (l *denseLayer) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n := x.Dim(0)
 	l.x = x
@@ -80,6 +83,9 @@ func (l *denseLayer) Backward(dy *tensor.Tensor) *tensor.Tensor {
 		for j, v := range row {
 			l.db[j] += v
 		}
+	}
+	if l.noDX {
+		return nil
 	}
 	// dx = dy W^T.
 	if l.dx == nil {

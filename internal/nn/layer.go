@@ -37,12 +37,22 @@ type Layer interface {
 	// [N, inShape...]. train enables training-only behaviour (dropout).
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
 	// Backward receives dL/d(output) and returns dL/d(input), accumulating
-	// parameter gradients into the bound gradient slice.
+	// parameter gradients into the bound gradient slice. A model's input
+	// layer is built without the data gradient (see inputLayer): its
+	// Backward accumulates parameter gradients only and returns nil.
 	Backward(dy *tensor.Tensor) *tensor.Tensor
 	// FwdFLOPs is the analytic per-sample forward cost (FLOPs), valid
 	// after Resolve. Backward cost is modelled as 2x forward, the standard
 	// approximation the paper also uses.
 	FwdFLOPs() float64
+}
+
+// inputLayer is implemented by layers whose data gradient can be left
+// out. Build calls skipDataGrad on a model's first layer, since nothing
+// reads the gradient with respect to the model's input; the layer then
+// neither computes nor allocates it.
+type inputLayer interface {
+	skipDataGrad()
 }
 
 // prependBatch builds a full batch shape [n, per-sample dims...].

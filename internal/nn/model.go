@@ -85,6 +85,9 @@ func (b *Builder) Build(seed int64) (*Model, error) {
 		l.Bind(m.params[off:off+n], m.grads[off:off+n], m.rng)
 		off += n
 	}
+	if l, ok := m.layers[0].(inputLayer); ok {
+		l.skipDataGrad()
+	}
 	return m, nil
 }
 
@@ -186,15 +189,20 @@ func (m *Model) FeatureDim() int { return m.featureDim }
 // the gradient flowing into the representation (the final layer's input);
 // this is the hook MOON uses to inject the model-contrastive term without
 // an autograd system. Callers must ZeroGrad first if they want fresh
-// gradients.
+// gradients. The gradient with respect to the model's input is not
+// computed.
 func (m *Model) Backward(dLogits *tensor.Tensor, extraFeatureGrad *tensor.Tensor) {
 	last := len(m.layers) - 1
 	g := m.layers[last].Backward(dLogits)
 	if extraFeatureGrad != nil {
-		if g.Numel() != extraFeatureGrad.Numel() {
-			panic(fmt.Sprintf("nn: extra feature grad %v incompatible with %v", extraFeatureGrad.Shape(), g.Shape()))
+		if n := dLogits.Dim(0) * m.featureDim; extraFeatureGrad.Numel() != n {
+			panic(fmt.Sprintf("nn: extra feature grad %v incompatible with %d features x %d samples", extraFeatureGrad.Shape(), m.featureDim, dLogits.Dim(0)))
 		}
-		tensor.Axpy(1, extraFeatureGrad.Data, g.Data)
+		// A one-layer model's features are its input, whose gradient
+		// nothing reads.
+		if g != nil {
+			tensor.Axpy(1, extraFeatureGrad.Data, g.Data)
+		}
 	}
 	for i := last - 1; i >= 0; i-- {
 		g = m.layers[i].Backward(g)

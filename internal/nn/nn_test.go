@@ -219,25 +219,37 @@ func TestFeaturesBeforeForwardPanics(t *testing.T) {
 	m.Features()
 }
 
+// TestFLOPCounterMetersForwardBackward pins the paper's cost model:
+// Backward adds 2x the forward FLOPs per sample, also in the paper
+// models, whose input layers skip their data gradient.
 func TestFLOPCounterMetersForwardBackward(t *testing.T) {
-	m, err := NewBuilder(10).Dense(4).Build(1)
+	dense, err := NewBuilder(10).Dense(4).Build(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var c flops.Counter
-	m.SetCounter(&c)
-	x := tensor.New(3, 10)
-	logits := m.Forward(x, false)
-	perSample := m.Cost().Forward
-	if got := c.Total(); got != int64(3*perSample) {
-		t.Fatalf("forward metered %d want %d", got, int64(3*perSample))
+	models := map[string]*Model{"dense": dense}
+	for name, spec := range paperSpecs {
+		if models[name], err = spec.Build(5); err != nil {
+			t.Fatal(err)
+		}
 	}
-	d := tensor.New(logits.Shape()...)
-	SoftmaxCrossEntropy(logits, []int{0, 1, 2}, d)
-	m.Backward(d, nil)
-	want := int64(3*perSample) + int64(3*2*perSample)
-	if got := c.Total(); got != want {
-		t.Fatalf("backward metered %d want %d", got, want)
+	for name, m := range models {
+		var c flops.Counter
+		m.SetCounter(&c)
+		const n = 3
+		x, labels := randBatch(rand.New(rand.NewSource(6)), m, n)
+		logits := m.Forward(x, true)
+		perSample := m.Cost().Forward
+		if got := c.Total(); got != int64(n*perSample) {
+			t.Fatalf("%s: forward metered %d want %d", name, got, int64(n*perSample))
+		}
+		d := tensor.New(logits.Shape()...)
+		SoftmaxCrossEntropy(logits, labels, d)
+		m.Backward(d, nil)
+		want := int64(n*perSample) + int64(n*2*perSample)
+		if got := c.Total(); got != want {
+			t.Fatalf("%s: backward metered %d want %d", name, got, want)
+		}
 	}
 }
 

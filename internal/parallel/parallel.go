@@ -10,6 +10,7 @@ package parallel
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // DefaultMinWork is the smallest index range worth splitting across
@@ -56,31 +57,149 @@ func Serial(n, minWork int) bool {
 // much heavier than a scalar op (e.g. a GEMM row tile) pass a smaller
 // threshold than the package default.
 func ForChunkedMin(n, minWork int, fn func(lo, hi int)) {
+	RunChunked(n, minWork, chunkFunc(fn))
+}
+
+// Chunker is a loop body over index ranges [lo, hi).
+type Chunker interface {
+	Chunk(lo, hi int)
+}
+
+type chunkFunc func(lo, hi int)
+
+func (f chunkFunc) Chunk(lo, hi int) { f(lo, hi) }
+
+// RunChunked is ForChunkedMin over a Chunker. A hot path passes a pooled
+// pointer, where a closure handed to other goroutines would escape to the
+// heap on every call, so RunChunked itself allocates no job or closure.
+//
+// The range splits into up to Workers() chunks, which the caller and any
+// idle resident helpers claim one at a time. Chunks nobody else claims
+// run on the caller, so a body may itself call RunChunked without
+// deadlock. The caller then yields until its helpers are done instead of
+// parking on a WaitGroup. Only the caller's wait avoids parking: each
+// helper parks on its channel receive between jobs. A park takes a
+// runtime wait record from a per-P cache, refilled from a central cache
+// that every GC empties, so the first parks after a GC may allocate.
+// Steady state between collections is allocation-free.
+//
+//fedtripvet:hotpath
+func RunChunked(n, minWork int, body Chunker) {
 	if n <= 0 {
 		return
 	}
 	p := Workers()
 	if p <= 1 || n < minWork {
-		fn(0, n)
+		body.Chunk(0, n)
 		return
 	}
 	if p > n {
 		p = n
 	}
-	chunk := (n + p - 1) / p
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
+	startHelpers(p - 1)
+	j := jobs.Get()
+	size := (n + p - 1) / p
+	j.body, j.n, j.size, j.chunks = body, n, size, int64((n+size-1)/size)
+	j.next.Store(0)
+	for h := 1; h < p; h++ {
+		j.helpers.Add(1)
+		select {
+		case idle <- j:
+		default: // no idle helper: the caller runs the chunk
+			j.helpers.Add(-1)
 		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
 	}
-	wg.Wait()
+	j.run()
+	for j.helpers.Load() > 0 {
+		runtime.Gosched()
+	}
+	j.body = nil
+	jobs.Put(j)
+}
+
+// chunkJob is one RunChunked call, shared with the helpers it woke.
+type chunkJob struct {
+	body    Chunker
+	n, size int
+	chunks  int64
+	next    atomic.Int64 // next unclaimed chunk
+	helpers atomic.Int32 // helpers still inside run
+}
+
+// run claims and runs chunks until none is left.
+//
+//fedtripvet:hotpath
+func (j *chunkJob) run() {
+	for c := j.next.Add(1) - 1; c < j.chunks; c = j.next.Add(1) - 1 {
+		lo := int(c) * j.size
+		j.body.Chunk(lo, min(lo+j.size, j.n))
+	}
+}
+
+var (
+	jobs FreeList[chunkJob]
+	// idle is unbuffered: a send succeeds only when a helper is waiting.
+	idle      = make(chan *chunkJob)
+	helpersMu sync.Mutex
+	nHelpers  atomic.Int32
+)
+
+// startHelpers makes sure at least n resident helper goroutines exist.
+// Helpers live for the life of the process and cost nothing while idle.
+func startHelpers(n int) {
+	if int(nHelpers.Load()) >= n {
+		return
+	}
+	helpersMu.Lock()
+	for int(nHelpers.Load()) < n {
+		nHelpers.Add(1)
+		go helper()
+	}
+	helpersMu.Unlock()
+}
+
+func helper() {
+	for j := range idle {
+		j.run()
+		j.helpers.Add(-1)
+	}
+}
+
+// FreeList is a concurrency-safe stack of reusable objects for hot paths
+// that must not allocate. Unlike sync.Pool it is shared by all Ps and kept
+// across collections: with sync.Pool, an object parked in one P's private
+// slot is invisible to a goroutine that migrated to another P, which then
+// allocates. A FreeList holds at most as many objects as were ever
+// checked out at once. The zero value is an empty list.
+type FreeList[T any] struct {
+	mu    sync.Mutex
+	items []*T
+}
+
+// Get takes an object off the list, or returns a new zero T when it is
+// empty.
+//
+//fedtripvet:hotpath
+func (f *FreeList[T]) Get() *T {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	n := len(f.items)
+	if n == 0 {
+		return new(T)
+	}
+	x := f.items[n-1]
+	f.items[n-1] = nil
+	f.items = f.items[:n-1]
+	return x
+}
+
+// Put returns x to the list.
+//
+//fedtripvet:hotpath
+func (f *FreeList[T]) Put(x *T) {
+	f.mu.Lock()
+	f.items = append(f.items, x) //fedtripvet:allow grows only to the most objects ever checked out at once
+	f.mu.Unlock()
 }
 
 // Do runs every task concurrently, bounded by Workers() goroutines, and

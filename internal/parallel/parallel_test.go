@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -137,5 +138,90 @@ func TestSerialConsistentWithForChunkedMin(t *testing.T) {
 				t.Fatalf("Serial=true but %d chunks for n=%d", calls, n)
 			}
 		}
+	}
+}
+
+// tally is a Chunker that counts visits per index.
+type tally struct {
+	seen  []atomic.Int32
+	empty atomic.Int32 // chunks with lo >= hi
+}
+
+func (c *tally) Chunk(lo, hi int) {
+	if lo >= hi {
+		c.empty.Add(1)
+	}
+	for i := lo; i < hi; i++ {
+		c.seen[i].Add(1)
+	}
+}
+
+// nested is a Chunker whose every index runs a RunChunked of its own.
+type nested struct{ inner []*tally }
+
+func (c *nested) Chunk(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		RunChunked(len(c.inner[i].seen), 1, c.inner[i])
+	}
+}
+
+// TestRunChunkedNested checks that bodies which themselves run chunked
+// loops finish, with every inner index visited exactly once, whether or
+// not helpers are free to take their chunks.
+func TestRunChunkedNested(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for rep := 0; rep < 50; rep++ {
+		outer := &nested{inner: make([]*tally, 41)}
+		for i := range outer.inner {
+			outer.inner[i] = &tally{seen: make([]atomic.Int32, 1+i)}
+		}
+		RunChunked(len(outer.inner), 1, outer)
+		for i, in := range outer.inner {
+			if e := in.empty.Load(); e != 0 {
+				t.Fatalf("rep %d: inner %d ran %d empty chunks", rep, i, e)
+			}
+			for j := range in.seen {
+				if c := in.seen[j].Load(); c != 1 {
+					t.Fatalf("rep %d: inner %d index %d visited %d times", rep, i, j, c)
+				}
+			}
+		}
+	}
+}
+
+// TestRunChunkedAllocFree pins the parallel path at zero allocations per
+// call with several Ps: the body is a pointer, jobs are recycled, and the
+// caller waits without parking.
+func TestRunChunkedAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	body := &tally{seen: make([]atomic.Int32, 4096)}
+	run := func(calls int) {
+		for i := 0; i < calls; i++ {
+			RunChunked(len(body.seen), 1, body)
+		}
+	}
+	// Warm up the runtime's per-P GC workers, the helpers and the OS
+	// threads that run them.
+	runtime.GC()
+	run(2000)
+	const calls = 1000
+	for attempt := 1; ; attempt++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run(calls)
+		runtime.ReadMemStats(&after)
+		// A collection inside the window empties the runtime's central
+		// cache of wait records, so the helpers' next parks may
+		// allocate; measure again rather than blame RunChunked.
+		if after.NumGC != before.NumGC && attempt < 3 {
+			continue
+		}
+		if n := after.Mallocs - before.Mallocs; n > 0 {
+			t.Fatalf("RunChunked allocates %v objects per call", float64(n)/calls)
+		}
+		break
 	}
 }

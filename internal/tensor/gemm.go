@@ -1,10 +1,6 @@
 package tensor
 
-import (
-	"sync"
-
-	"repro/internal/parallel"
-)
+import "repro/internal/parallel"
 
 // Cache-blocked, register-tiled GEMM micro-kernel. One kernel backs every
 // matmul variant in the package (MatMul, MatMulAddBias, MatMulATB,
@@ -58,14 +54,14 @@ const (
 )
 
 // gemmScratch is one worker's packing storage. Buffers grow to the
-// high-water mark and are recycled through gemmPool, so steady-state GEMM
-// calls allocate nothing.
+// high-water mark and are recycled through gemmScratches, so steady-state
+// GEMM calls allocate nothing.
 type gemmScratch struct {
 	a, b []float64
 	tile [gemmMR * gemmNR]float64
 }
 
-var gemmPool = sync.Pool{New: func() any { return new(gemmScratch) }}
+var gemmScratches parallel.FreeList[gemmScratch]
 
 func grow(buf []float64, n int) []float64 {
 	if cap(buf) < n {
@@ -103,13 +99,34 @@ func gemm(cd []float64, m, n, k int, ad []float64, ars, acs int, bd []float64, b
 		gemmRows(cd, 0, m, n, k, ad, ars, acs, bd, brs, bcs, bias, accumulate)
 		return
 	}
-	parallel.ForChunkedMin(mTiles, gemmParMin, func(tlo, thi int) {
-		ilo, ihi := tlo*gemmMR, thi*gemmMR
-		if ihi > m {
-			ihi = m
-		}
-		gemmRows(cd, ilo, ihi, n, k, ad, ars, acs, bd, brs, bcs, bias, accumulate)
-	})
+	j := gemmJobs.Get()
+	*j = gemmJob{cd, m, n, k, ad, ars, acs, bd, brs, bcs, bias, accumulate}
+	parallel.RunChunked(mTiles, gemmParMin, j)
+	*j = gemmJob{}
+	gemmJobs.Put(j)
+}
+
+// gemmJob carries one parallel gemm call's operands to the row-tile
+// chunks. Jobs are pooled, so the parallel path allocates nothing.
+type gemmJob struct {
+	cd         []float64
+	m, n, k    int
+	ad         []float64
+	ars, acs   int
+	bd         []float64
+	brs, bcs   int
+	bias       []float64
+	accumulate bool
+}
+
+var gemmJobs parallel.FreeList[gemmJob]
+
+// Chunk runs the row tiles [tlo, thi).
+//
+//fedtripvet:hotpath
+func (j *gemmJob) Chunk(tlo, thi int) {
+	ilo, ihi := tlo*gemmMR, min(thi*gemmMR, j.m)
+	gemmRows(j.cd, ilo, ihi, j.n, j.k, j.ad, j.ars, j.acs, j.bd, j.brs, j.bcs, j.bias, j.accumulate)
 }
 
 // gemvN1 handles n == 1 (C is a column vector): a row-major A runs one dot
@@ -201,7 +218,7 @@ func gemvM1(cd []float64, n, k int, ad []float64, acs int, bd []float64, brs int
 //
 //fedtripvet:hotpath
 func gemmRows(cd []float64, ilo, ihi, n, k int, ad []float64, ars, acs int, bd []float64, brs, bcs int, bias []float64, accumulate bool) {
-	sc := gemmPool.Get().(*gemmScratch)
+	sc := gemmScratches.Get()
 	if !accumulate {
 		gemmInit(cd, ilo, ihi, n, bias)
 	}
@@ -226,7 +243,7 @@ func gemmRows(cd []float64, ilo, ihi, n, k int, ad []float64, ars, acs int, bd [
 			}
 		}
 	}
-	gemmPool.Put(sc)
+	gemmScratches.Put(sc)
 }
 
 // gemmInit prepares the C rows a worker owns: zeroed, or set to the bias
@@ -398,7 +415,7 @@ func gebp(cd []float64, ldc, i0, mc, j0, nc, kc int, sc *gemmScratch) {
 //
 //fedtripvet:hotpath
 func gemmDirect(cd []float64, m, n, k int, ad []float64, ars, acs int, bd []float64, brs, bcs int, bias []float64, accumulate bool) {
-	sc := gemmPool.Get().(*gemmScratch)
+	sc := gemmScratches.Get()
 	packA(sc, ad, 0, m, 0, k, ars, acs)
 	if !accumulate {
 		gemmInit(cd, 0, m, n, bias)
@@ -443,7 +460,7 @@ func gemmDirect(cd []float64, m, n, k int, ad []float64, ars, acs int, bd []floa
 			}
 		}
 	}
-	gemmPool.Put(sc)
+	gemmScratches.Put(sc)
 }
 
 // kernDir4x4 is kern4x4 with B read in place from row-major storage:
@@ -489,24 +506,69 @@ func kernDir4x4(kc int, a, b []float64, brs int, cd []float64, off, ldc int) {
 	r3[0], r3[1], r3[2], r3[3] = c30, c31, c32, c33
 }
 
-// kernDirMx4 is kernDir4x4 for 1..3 live rows.
+// kernDirMx4 is kernDir4x4 for 1..3 live rows. All live rows accumulate
+// in one pass, so each B element is loaded once, not once per row.
 //
 //fedtripvet:hotpath
 func kernDirMx4(kc, rows int, a, b []float64, brs int, cd []float64, off, ldc int) {
 	a = a[:gemmMR*kc]
-	for r := 0; r < rows; r++ {
-		cr := cd[off+r*ldc : off+r*ldc+gemmNR]
-		c0, c1, c2, c3 := cr[0], cr[1], cr[2], cr[3]
+	r0 := cd[off : off+gemmNR]
+	c00, c01, c02, c03 := r0[0], r0[1], r0[2], r0[3]
+	switch rows {
+	case 1:
 		for p := 0; p < kc; p++ {
 			bp := b[p*brs : p*brs+gemmNR : p*brs+gemmNR]
-			av := a[gemmMR*p+r]
-			c0 += av * bp[0]
-			c1 += av * bp[1]
-			c2 += av * bp[2]
-			c3 += av * bp[3]
+			a0 := a[gemmMR*p]
+			c00 += a0 * bp[0]
+			c01 += a0 * bp[1]
+			c02 += a0 * bp[2]
+			c03 += a0 * bp[3]
 		}
-		cr[0], cr[1], cr[2], cr[3] = c0, c1, c2, c3
+	case 2:
+		r1 := cd[off+ldc : off+ldc+gemmNR]
+		c10, c11, c12, c13 := r1[0], r1[1], r1[2], r1[3]
+		for p := 0; p < kc; p++ {
+			bp := b[p*brs : p*brs+gemmNR : p*brs+gemmNR]
+			ap := a[gemmMR*p : gemmMR*p+2 : gemmMR*p+2]
+			b0, b1, b2, b3 := bp[0], bp[1], bp[2], bp[3]
+			a0, a1 := ap[0], ap[1]
+			c00 += a0 * b0
+			c01 += a0 * b1
+			c02 += a0 * b2
+			c03 += a0 * b3
+			c10 += a1 * b0
+			c11 += a1 * b1
+			c12 += a1 * b2
+			c13 += a1 * b3
+		}
+		r1[0], r1[1], r1[2], r1[3] = c10, c11, c12, c13
+	default: // 3 rows
+		r1 := cd[off+ldc : off+ldc+gemmNR]
+		r2 := cd[off+2*ldc : off+2*ldc+gemmNR]
+		c10, c11, c12, c13 := r1[0], r1[1], r1[2], r1[3]
+		c20, c21, c22, c23 := r2[0], r2[1], r2[2], r2[3]
+		for p := 0; p < kc; p++ {
+			bp := b[p*brs : p*brs+gemmNR : p*brs+gemmNR]
+			ap := a[gemmMR*p : gemmMR*p+3 : gemmMR*p+3]
+			b0, b1, b2, b3 := bp[0], bp[1], bp[2], bp[3]
+			a0, a1, a2 := ap[0], ap[1], ap[2]
+			c00 += a0 * b0
+			c01 += a0 * b1
+			c02 += a0 * b2
+			c03 += a0 * b3
+			c10 += a1 * b0
+			c11 += a1 * b1
+			c12 += a1 * b2
+			c13 += a1 * b3
+			c20 += a2 * b0
+			c21 += a2 * b1
+			c22 += a2 * b2
+			c23 += a2 * b3
+		}
+		r1[0], r1[1], r1[2], r1[3] = c10, c11, c12, c13
+		r2[0], r2[1], r2[2], r2[3] = c20, c21, c22, c23
 	}
+	r0[0], r0[1], r0[2], r0[3] = c00, c01, c02, c03
 }
 
 // kernDirT4x4 is the A x B^T micro-kernel with B read in place: four
@@ -556,7 +618,8 @@ func kernDirT4x4(kc int, a, b0, b1, b2, b3 []float64, cd []float64, off, ldc int
 	r3[0], r3[1], r3[2], r3[3] = c30, c31, c32, c33
 }
 
-// kernDirTMx4 is kernDirT4x4 for 1..3 live rows.
+// kernDirTMx4 is kernDirT4x4 for 1..3 live rows, single pass over the
+// four B column streams like kernDirMx4.
 //
 //fedtripvet:hotpath
 func kernDirTMx4(kc, rows int, a, b0, b1, b2, b3 []float64, cd []float64, off, ldc int) {
@@ -565,18 +628,60 @@ func kernDirTMx4(kc, rows int, a, b0, b1, b2, b3 []float64, cd []float64, off, l
 	b1 = b1[:kc]
 	b2 = b2[:kc]
 	b3 = b3[:kc]
-	for r := 0; r < rows; r++ {
-		cr := cd[off+r*ldc : off+r*ldc+gemmNR]
-		c0, c1, c2, c3 := cr[0], cr[1], cr[2], cr[3]
+	r0 := cd[off : off+gemmNR]
+	c00, c01, c02, c03 := r0[0], r0[1], r0[2], r0[3]
+	switch rows {
+	case 1:
 		for p := 0; p < kc; p++ {
-			av := a[gemmMR*p+r]
-			c0 += av * b0[p]
-			c1 += av * b1[p]
-			c2 += av * b2[p]
-			c3 += av * b3[p]
+			a0 := a[gemmMR*p]
+			c00 += a0 * b0[p]
+			c01 += a0 * b1[p]
+			c02 += a0 * b2[p]
+			c03 += a0 * b3[p]
 		}
-		cr[0], cr[1], cr[2], cr[3] = c0, c1, c2, c3
+	case 2:
+		r1 := cd[off+ldc : off+ldc+gemmNR]
+		c10, c11, c12, c13 := r1[0], r1[1], r1[2], r1[3]
+		for p := 0; p < kc; p++ {
+			ap := a[gemmMR*p : gemmMR*p+2 : gemmMR*p+2]
+			v0, v1, v2, v3 := b0[p], b1[p], b2[p], b3[p]
+			a0, a1 := ap[0], ap[1]
+			c00 += a0 * v0
+			c01 += a0 * v1
+			c02 += a0 * v2
+			c03 += a0 * v3
+			c10 += a1 * v0
+			c11 += a1 * v1
+			c12 += a1 * v2
+			c13 += a1 * v3
+		}
+		r1[0], r1[1], r1[2], r1[3] = c10, c11, c12, c13
+	default: // 3 rows
+		r1 := cd[off+ldc : off+ldc+gemmNR]
+		r2 := cd[off+2*ldc : off+2*ldc+gemmNR]
+		c10, c11, c12, c13 := r1[0], r1[1], r1[2], r1[3]
+		c20, c21, c22, c23 := r2[0], r2[1], r2[2], r2[3]
+		for p := 0; p < kc; p++ {
+			ap := a[gemmMR*p : gemmMR*p+3 : gemmMR*p+3]
+			v0, v1, v2, v3 := b0[p], b1[p], b2[p], b3[p]
+			a0, a1, a2 := ap[0], ap[1], ap[2]
+			c00 += a0 * v0
+			c01 += a0 * v1
+			c02 += a0 * v2
+			c03 += a0 * v3
+			c10 += a1 * v0
+			c11 += a1 * v1
+			c12 += a1 * v2
+			c13 += a1 * v3
+			c20 += a2 * v0
+			c21 += a2 * v1
+			c22 += a2 * v2
+			c23 += a2 * v3
+		}
+		r1[0], r1[1], r1[2], r1[3] = c10, c11, c12, c13
+		r2[0], r2[1], r2[2], r2[3] = c20, c21, c22, c23
 	}
+	r0[0], r0[1], r0[2], r0[3] = c00, c01, c02, c03
 }
 
 // kern4x4 is the register micro-kernel: C_tile += Apanel x Bpanel, where

@@ -31,43 +31,84 @@ func (g ConvGeom) ColRows() int { return g.InC * g.KH * g.KW }
 // ColCols returns the column count of the im2col matrix: OutH*OutW.
 func (g ConvGeom) ColCols() int { return g.OutH * g.OutW }
 
+// checkLens panics unless img and col have the lengths of one image and
+// its column matrix.
+func (g ConvGeom) checkLens(op string, img, col []float64) {
+	if len(img) != g.InC*g.InH*g.InW {
+		panic(fmt.Sprintf("tensor: %s image len %d != %d", op, len(img), g.InC*g.InH*g.InW))
+	}
+	if len(col) != g.ColRows()*g.ColCols() {
+		panic(fmt.Sprintf("tensor: %s col len %d != %d", op, len(col), g.ColRows()*g.ColCols()))
+	}
+}
+
+// tapRange returns the output positions [lo, hi) whose input coordinate
+// o*stride - pad + tap falls inside [0, in), for one kernel tap along one
+// axis; every other position reads padding. An empty range is (0, 0).
+func tapRange(tap, in, out, stride, pad int) (lo, hi int) {
+	// lo = ceil((pad-tap)/stride), hi-1 = floor((in-1+pad-tap)/stride).
+	if d := pad - tap; d > 0 {
+		lo = (d + stride - 1) / stride
+	}
+	hi = out
+	if d := in - 1 + pad - tap; d < 0 {
+		hi = 0
+	} else if d/stride+1 < hi {
+		hi = d/stride + 1
+	}
+	if hi <= lo {
+		return 0, 0
+	}
+	return lo, hi
+}
+
+// tapRanges is tapRange for both axes of the tap (ky, kx). A tap whose
+// column range is empty reads only padding, so its row range is emptied
+// too: every in-range (oy, ox) then addresses a real input element.
+func (g ConvGeom) tapRanges(ky, kx int) (oy0, oy1, ox0, ox1 int) {
+	ox0, ox1 = tapRange(kx, g.InW, g.OutW, g.Stride, g.Pad)
+	if ox0 == ox1 {
+		return 0, 0, 0, 0
+	}
+	oy0, oy1 = tapRange(ky, g.InH, g.OutH, g.Stride, g.Pad)
+	return oy0, oy1, ox0, ox1
+}
+
 // Im2Col expands one image (CHW layout, len = C*H*W) into the column matrix
 // col (len = ColRows x ColCols, row-major) so that convolution becomes a
 // matrix multiply: out[F, OH*OW] = W[F, C*KH*KW] x col.
 // Out-of-bounds (padding) taps contribute zeros.
+//
+// Each tap's in-bounds output range is computed once, so the inner loop is
+// a branch-free strided gather; at stride 1 it is a contiguous row copy.
+//
+//fedtripvet:hotpath
 func (g ConvGeom) Im2Col(img, col []float64) {
-	if len(img) != g.InC*g.InH*g.InW {
-		panic(fmt.Sprintf("tensor: im2col image len %d != %d", len(img), g.InC*g.InH*g.InW))
-	}
+	g.checkLens("im2col", img, col)
 	cols := g.ColCols()
-	if len(col) != g.ColRows()*cols {
-		panic(fmt.Sprintf("tensor: im2col col len %d != %d", len(col), g.ColRows()*cols))
-	}
+	s, ow := g.Stride, g.OutW
 	row := 0
 	for c := 0; c < g.InC; c++ {
-		chBase := c * g.InH * g.InW
+		ch := img[c*g.InH*g.InW : (c+1)*g.InH*g.InW]
 		for ky := 0; ky < g.KH; ky++ {
 			for kx := 0; kx < g.KW; kx++ {
+				oy0, oy1, ox0, ox1 := g.tapRanges(ky, kx)
 				dst := col[row*cols : (row+1)*cols]
-				di := 0
-				for oy := 0; oy < g.OutH; oy++ {
-					iy := oy*g.Stride - g.Pad + ky
-					if iy < 0 || iy >= g.InH {
-						for ox := 0; ox < g.OutW; ox++ {
-							dst[di] = 0
-							di++
-						}
+				clear(dst[:oy0*ow])
+				clear(dst[oy1*ow:])
+				for oy := oy0; oy < oy1; oy++ {
+					d := dst[oy*ow : (oy+1)*ow]
+					clear(d[:ox0])
+					clear(d[ox1:])
+					src := ch[(oy*s-g.Pad+ky)*g.InW+ox0*s-g.Pad+kx:]
+					d = d[ox0:ox1]
+					if s == 1 {
+						copy(d, src)
 						continue
 					}
-					rowBase := chBase + iy*g.InW
-					for ox := 0; ox < g.OutW; ox++ {
-						ix := ox*g.Stride - g.Pad + kx
-						if ix < 0 || ix >= g.InW {
-							dst[di] = 0
-						} else {
-							dst[di] = img[rowBase+ix]
-						}
-						di++
+					_ = src[(len(d)-1)*s]
+					for i := range d {
+						d[i] = src[i*s]
 					}
 				}
 				row++
@@ -80,34 +121,29 @@ func (g ConvGeom) Im2Col(img, col []float64) {
 // overlapping taps. It is the adjoint of Im2Col and is used to propagate
 // gradients to a convolution layer's input. The caller must zero img first
 // if accumulation from a clean slate is desired.
+//
+// Taps are visited in the same (channel, tap, output position) order as a
+// per-element bounds check would visit them, so every image element sums
+// its contributions in the same order; padding taps add nothing.
+//
+//fedtripvet:hotpath
 func (g ConvGeom) Col2Im(col, img []float64) {
-	if len(img) != g.InC*g.InH*g.InW {
-		panic(fmt.Sprintf("tensor: col2im image len %d != %d", len(img), g.InC*g.InH*g.InW))
-	}
+	g.checkLens("col2im", img, col)
 	cols := g.ColCols()
-	if len(col) != g.ColRows()*cols {
-		panic(fmt.Sprintf("tensor: col2im col len %d != %d", len(col), g.ColRows()*cols))
-	}
+	s, ow := g.Stride, g.OutW
 	row := 0
 	for c := 0; c < g.InC; c++ {
-		chBase := c * g.InH * g.InW
+		ch := img[c*g.InH*g.InW : (c+1)*g.InH*g.InW]
 		for ky := 0; ky < g.KH; ky++ {
 			for kx := 0; kx < g.KW; kx++ {
+				oy0, oy1, ox0, ox1 := g.tapRanges(ky, kx)
 				src := col[row*cols : (row+1)*cols]
-				si := 0
-				for oy := 0; oy < g.OutH; oy++ {
-					iy := oy*g.Stride - g.Pad + ky
-					if iy < 0 || iy >= g.InH {
-						si += g.OutW
-						continue
-					}
-					rowBase := chBase + iy*g.InW
-					for ox := 0; ox < g.OutW; ox++ {
-						ix := ox*g.Stride - g.Pad + kx
-						if ix >= 0 && ix < g.InW {
-							img[rowBase+ix] += src[si]
-						}
-						si++
+				for oy := oy0; oy < oy1; oy++ {
+					sv := src[oy*ow+ox0 : oy*ow+ox1]
+					dst := ch[(oy*s-g.Pad+ky)*g.InW+ox0*s-g.Pad+kx:]
+					_ = dst[(len(sv)-1)*s]
+					for i, v := range sv {
+						dst[i*s] += v
 					}
 				}
 				row++

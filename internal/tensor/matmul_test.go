@@ -310,3 +310,72 @@ func BenchmarkGEMMDenseBackward(b *testing.B) {
 		MatMulATBAdd(c, x, dy)
 	}
 }
+
+// orderedRef computes c[i,j] = init[i,j] + a(i,0)*b(0,j) + a(i,1)*b(1,j) + ...
+// one term at a time in increasing k order, the accumulation order every
+// tiled and direct GEMM path promises.
+func orderedRef(init []float64, m, n, k int, a, b func(i, p int) float64) []float64 {
+	c := append([]float64(nil), init...)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			s := c[i*n+j]
+			for p := 0; p < k; p++ {
+				s += a(i, p) * b(p, j)
+			}
+			c[i*n+j] = s
+		}
+	}
+	return c
+}
+
+// TestGEMMExactAccumulationOrder pins the GEMM paths bit for bit against
+// the k-ordered reference, for every variant the layers call. Shapes with
+// n == 1 are left out: their row-major dot path uses four partial sums.
+func TestGEMMExactAccumulationOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	shapes := append([][3]int{{1, 9, 6}, {2, 784, 25}, {3, 784, 25}, {3, 25, 784}, {7, 3, 13}, {25, 3, 784}, {75, 8, 100}, {8, 75, 100}, {50, 100, 784}, {3, 600, 5}}, gemmShapes...)
+	for _, d := range shapes {
+		m, k, n := d[0], d[1], d[2]
+		if n == 1 {
+			continue
+		}
+		a, b := randTensor(rng, m, k), randTensor(rng, k, n)
+		at, bt := randTensor(rng, k, m), randTensor(rng, n, k)
+		init := randTensor(rng, m, n)
+		row := func(x *Tensor) func(i, p int) float64 {
+			return func(i, p int) float64 { return x.Data[i*x.Dim(1)+p] }
+		}
+		tr := func(x *Tensor) func(i, p int) float64 {
+			return func(i, p int) float64 { return x.Data[p*x.Dim(1)+i] }
+		}
+		zero := make([]float64, m*n)
+		bias := randTensor(rng, n).Data
+		biasInit := make([]float64, m*n)
+		for i := 0; i < m; i++ {
+			copy(biasInit[i*n:], bias)
+		}
+		check := func(name string, got, want []float64) {
+			t.Helper()
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s %v: element %d = %v, k-ordered reference %v", name, d, i, got[i], want[i])
+				}
+			}
+		}
+		c := New(m, n)
+		MatMul(c, a, b)
+		check("MatMul", c.Data, orderedRef(zero, m, n, k, row(a), row(b)))
+		MatMulAddBias(c, a, b, bias)
+		check("MatMulAddBias", c.Data, orderedRef(biasInit, m, n, k, row(a), row(b)))
+		MatMulATB(c, at, b)
+		check("MatMulATB", c.Data, orderedRef(zero, m, n, k, tr(at), row(b)))
+		copy(c.Data, init.Data)
+		MatMulATBAdd(c, at, b)
+		check("MatMulATBAdd", c.Data, orderedRef(init.Data, m, n, k, tr(at), row(b)))
+		MatMulABT(c, a, bt)
+		check("MatMulABT", c.Data, orderedRef(zero, m, n, k, row(a), tr(bt)))
+		copy(c.Data, init.Data)
+		MatMulABTAdd(c, a, bt)
+		check("MatMulABTAdd", c.Data, orderedRef(init.Data, m, n, k, row(a), tr(bt)))
+	}
+}

@@ -3,7 +3,6 @@
 package tensor
 
 // raceEnabled reports that the race detector is active: allocation-count
-// pins are skipped under it, because instrumentation (and sync.Pool's
-// deliberate pool-bypass under race) adds allocations the production
-// build does not have.
+// pins are skipped under it, because instrumentation adds allocations the
+// production build does not have.
 const raceEnabled = true
