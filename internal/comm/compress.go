@@ -264,13 +264,17 @@ func (t *CompressedTransport) denseFallback(params []float64) ([]float64, int64)
 	return out, wire
 }
 
-// maxResidEntries caps RestoreState allocation against corrupt input.
+// maxResidEntries caps RestoreState's counts against corrupt input; the
+// residual vectors themselves allocate only as their bytes arrive.
 const maxResidEntries = 1 << 24
 
 // SnapshotState implements core.StatefulTransport: the EF residual map,
-// sorted by client ID (float64 bit patterns, little endian). Downlink
-// references are deliberately absent — snapshots are taken at quiesced
-// round boundaries, where no dispatch is in flight.
+// sorted by client ID (float64 bit patterns, little endian):
+//
+//	count u64 | count * (id u64 | len u64 | len * f64)
+//
+// Downlink references are deliberately absent — snapshots are taken at
+// quiesced round boundaries, where no dispatch is in flight.
 func (t *CompressedTransport) SnapshotState(w io.Writer) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -279,18 +283,20 @@ func (t *CompressedTransport) SnapshotState(w io.Writer) error {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
-	if err := binary.Write(w, binary.LittleEndian, uint64(len(ids))); err != nil {
+	var head [16]byte
+	binary.LittleEndian.PutUint64(head[:8], uint64(len(ids)))
+	if _, err := w.Write(head[:8]); err != nil {
 		return err
 	}
+	chunk := make([]byte, tensor.ChunkBytes)
 	for _, id := range ids {
 		v := t.resid[id]
-		if err := binary.Write(w, binary.LittleEndian, uint64(id)); err != nil {
+		binary.LittleEndian.PutUint64(head[:8], uint64(id))
+		binary.LittleEndian.PutUint64(head[8:], uint64(len(v)))
+		if _, err := w.Write(head[:]); err != nil {
 			return err
 		}
-		if err := binary.Write(w, binary.LittleEndian, uint64(len(v))); err != nil {
-			return err
-		}
-		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
+		if err := tensor.WriteChunks(w, v, 8, chunk, tensor.PutFloat64s); err != nil {
 			return err
 		}
 	}
@@ -298,32 +304,37 @@ func (t *CompressedTransport) SnapshotState(w io.Writer) error {
 }
 
 // RestoreState implements core.StatefulTransport, replacing any current
-// residuals with the snapshot's.
+// residuals with the snapshot's. IDs must be strictly increasing, as
+// SnapshotState writes them.
 func (t *CompressedTransport) RestoreState(r io.Reader) error {
-	var n uint64
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
+	var head [16]byte
+	if _, err := io.ReadFull(r, head[:8]); err != nil {
 		return fmt.Errorf("comm: transport state: %w", err)
 	}
+	n := binary.LittleEndian.Uint64(head[:8])
 	if n > maxResidEntries {
 		return fmt.Errorf("comm: transport state: %d residuals exceeds cap", n)
 	}
-	resid := make(map[int][]float64, n)
+	resid := make(map[int][]float64)
+	chunk := make([]byte, tensor.ChunkBytes)
+	prev := -1
 	for i := uint64(0); i < n; i++ {
-		var id, ln uint64
-		if err := binary.Read(r, binary.LittleEndian, &id); err != nil {
+		if _, err := io.ReadFull(r, head[:]); err != nil {
 			return fmt.Errorf("comm: transport state: %w", err)
 		}
-		if err := binary.Read(r, binary.LittleEndian, &ln); err != nil {
-			return fmt.Errorf("comm: transport state: %w", err)
+		id, ln := binary.LittleEndian.Uint64(head[:8]), binary.LittleEndian.Uint64(head[8:])
+		if id > math.MaxInt32 || int(id) <= prev {
+			return fmt.Errorf("comm: transport state: residual id %d after %d", id, prev)
 		}
 		if ln > maxResidEntries {
 			return fmt.Errorf("comm: transport state: residual length %d exceeds cap", ln)
 		}
-		v := make([]float64, ln)
-		if err := binary.Read(r, binary.LittleEndian, v); err != nil {
+		v, err := tensor.ReadChunksN(r, int(ln), 8, chunk, tensor.GetFloat64s)
+		if err != nil {
 			return fmt.Errorf("comm: transport state: %w", err)
 		}
-		resid[int(id)] = v
+		prev = int(id)
+		resid[prev] = v
 	}
 	t.mu.Lock()
 	t.resid = resid

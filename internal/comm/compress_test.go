@@ -2,8 +2,10 @@ package comm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -253,8 +255,30 @@ func TestTransportStateRoundTrip(t *testing.T) {
 			t.Fatalf("restored transport diverges at %d: %g vs %g", i, a[i], b[i])
 		}
 	}
-	// Corrupt input is rejected, not crashed on.
-	if err := restored.RestoreState(bytes.NewReader([]byte{1, 2, 3})); err == nil {
-		t.Fatal("truncated state accepted")
+	// Corrupt input is rejected, not crashed on: a truncated count, ids
+	// out of order, and a residual claiming the cap's 2^24 floats with
+	// none present, which must fail without allocating the claim.
+	state := func(words ...uint64) []byte {
+		b := make([]byte, 8*len(words))
+		for i, w := range words {
+			binary.LittleEndian.PutUint64(b[8*i:], w)
+		}
+		return b
+	}
+	for name, in := range map[string][]byte{
+		"truncated":    {1, 2, 3},
+		"ids unsorted": state(2, 5, 0, 3, 0),
+		"forged len":   state(1, 0, maxResidEntries, 0),
+	} {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		err := restored.RestoreState(bytes.NewReader(in))
+		runtime.ReadMemStats(&m1)
+		if err == nil {
+			t.Fatalf("%s: corrupt state accepted", name)
+		}
+		if grew := m1.TotalAlloc - m0.TotalAlloc; grew >= 1<<20 {
+			t.Fatalf("%s: allocated %d bytes before failing", name, grew)
+		}
 	}
 }

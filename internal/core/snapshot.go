@@ -39,15 +39,17 @@ package core
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
 	"repro/internal/prng"
+	"repro/internal/tensor"
 )
 
 const (
@@ -63,17 +65,26 @@ const (
 	// optional (only the noise mode materializes it) — older snapshots
 	// cannot be read by this build.
 	snapVersion = 4
-	// snapMaxLen bounds every deserialized collection length: corrupt or
-	// adversarial length prefixes must not drive allocation.
-	snapMaxLen = 1 << 30
+	// Every deserialized length is bounded by what the rebuilt run
+	// implies (|w|, N, Rounds, Concurrency + BufferSize, the churn
+	// model's drops); these cap the few the spec says nothing about:
+	// the fingerprint, per-method state names, and how many of them a
+	// client holds.
+	snapMaxFingerprint = 1 << 16
+	snapMaxName        = 1 << 10
+	snapMaxKeys        = 1 << 10
 )
 
 // snapWriter is a little-endian binary writer with sticky-error
 // accumulation: call sites stay linear and flush reports the first
-// failure.
+// failure. Scalars encode through b8 and arrays through chunk, so a
+// snapshot costs no allocation per value.
 type snapWriter struct {
-	w   *bufio.Writer
-	err error
+	w     *bufio.Writer
+	err   error
+	b8    [8]byte
+	chunk [tensor.ChunkBytes]byte
+	keys  []string // map-key sorting scratch, reused across clients
 }
 
 func newSnapWriter(w io.Writer) *snapWriter { return &snapWriter{w: bufio.NewWriter(w)} }
@@ -85,18 +96,26 @@ func (s *snapWriter) flush() error {
 	return s.w.Flush()
 }
 
-func (s *snapWriter) raw(b []byte) {
+// Write makes the writer an io.Writer for sections encoded by other
+// packages (transport state).
+func (s *snapWriter) Write(b []byte) (int, error) {
+	if s.err != nil {
+		return 0, s.err
+	}
+	var n int
+	n, s.err = s.w.Write(b)
+	return n, s.err
+}
+
+func (s *snapWriter) u8(v uint8) {
 	if s.err == nil {
-		_, s.err = s.w.Write(b)
+		s.err = s.w.WriteByte(v)
 	}
 }
 
-func (s *snapWriter) u8(v uint8) { s.raw([]byte{v}) }
-
 func (s *snapWriter) u64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	s.raw(b[:])
+	binary.LittleEndian.PutUint64(s.b8[:], v)
+	s.Write(s.b8[:])
 }
 
 func (s *snapWriter) i64(v int64)   { s.u64(uint64(v)) }
@@ -113,36 +132,25 @@ func (s *snapWriter) boolv(v bool) {
 
 func (s *snapWriter) str(v string) {
 	s.num(len(v))
-	s.raw([]byte(v))
-}
-
-func (s *snapWriter) floats(v []float64) {
-	s.num(len(v))
-	for _, x := range v {
-		s.f64(x)
+	if s.err == nil {
+		_, s.err = s.w.WriteString(v)
 	}
 }
 
-func (s *snapWriter) i64s(v []int64) {
+// writeArray writes a length prefix and v's values, 8 bytes each, one
+// chunk at a time.
+func writeArray[T any](s *snapWriter, v []T, put func([]byte, []T)) {
 	s.num(len(v))
-	for _, x := range v {
-		s.i64(x)
+	if s.err == nil {
+		s.err = tensor.WriteChunks(s.w, v, 8, s.chunk[:], put)
 	}
 }
 
-func (s *snapWriter) i32s(v []int32) {
-	s.num(len(v))
-	for _, x := range v {
-		s.i64(int64(x))
-	}
-}
+func (s *snapWriter) floats(v []float64) { writeArray(s, v, tensor.PutFloat64s) }
+func (s *snapWriter) i64s(v []int64)     { writeArray(s, v, putInt64s) }
 
-func (s *snapWriter) bools(v []bool) {
-	s.num(len(v))
-	for _, x := range v {
-		s.boolv(x)
-	}
-}
+// i32s widens to 8 bytes per entry, as the v4 format has it.
+func (s *snapWriter) i32s(v []int32) { writeArray(s, v, putInt32s) }
 
 func (s *snapWriter) rngState(st prng.State) {
 	s.u64(st.S)
@@ -150,12 +158,55 @@ func (s *snapWriter) rngState(st prng.State) {
 	s.boolv(st.HasSpare)
 }
 
+func putInt64s(dst []byte, src []int64) {
+	for i, x := range src {
+		binary.LittleEndian.PutUint64(dst[8*i:], uint64(x))
+	}
+}
+
+func putInt32s(dst []byte, src []int32) {
+	for i, x := range src {
+		binary.LittleEndian.PutUint64(dst[8*i:], uint64(int64(x)))
+	}
+}
+
+func getInt64s(dst []int64, src []byte) error {
+	for i := range dst {
+		dst[i] = int64(binary.LittleEndian.Uint64(src[8*i:]))
+	}
+	return nil
+}
+
+func getInt32s(dst []int32, src []byte) error {
+	for i := range dst {
+		x := int64(binary.LittleEndian.Uint64(src[8*i:]))
+		if x < math.MinInt32 || x > math.MaxInt32 {
+			return int32RangeError(x)
+		}
+		dst[i] = int32(x)
+	}
+	return nil
+}
+
+// int32RangeError is getInt32s' refusal: a stored value no int32 field
+// could have written.
+type int32RangeError int64
+
+func (e int32RangeError) Error() string { return fmt.Sprintf("value %d out of range", int64(e)) }
+
+func getBytes(dst []byte, src []byte) error {
+	copy(dst, src)
+	return nil
+}
+
 // snapReader mirrors snapWriter: little-endian reads with a sticky
 // error. Truncation surfaces as a precise "truncated snapshot" error,
 // not a zero value silently flowing into the run.
 type snapReader struct {
-	r   *bufio.Reader
-	err error
+	r     *bufio.Reader
+	err   error
+	b8    [8]byte
+	chunk [tensor.ChunkBytes]byte
 }
 
 func newSnapReader(r io.Reader) *snapReader { return &snapReader{r: bufio.NewReader(r)} }
@@ -167,25 +218,41 @@ func (s *snapReader) fail(format string, args ...any) {
 	}
 }
 
+// readFailed records a failed read of what: a decoder's refusal makes a
+// corrupt snapshot, a failed or short read a truncated one.
+func (s *snapReader) readFailed(what string, err error) {
+	var bad int32RangeError
+	if errors.As(err, &bad) {
+		s.fail("core: corrupt snapshot: %s %v", what, err)
+	} else {
+		s.fail("core: truncated snapshot: %w", err)
+	}
+}
+
 func (s *snapReader) raw(b []byte) {
 	if s.err != nil {
 		return
 	}
 	if _, err := io.ReadFull(s.r, b); err != nil {
-		s.err = fmt.Errorf("core: truncated snapshot: %w", err)
+		s.readFailed("", err)
 	}
 }
 
 func (s *snapReader) u8() uint8 {
-	var b [1]byte
-	s.raw(b[:])
-	return b[0]
+	if s.err != nil {
+		return 0
+	}
+	b, err := s.r.ReadByte()
+	if err != nil {
+		s.readFailed("", err)
+	}
+	return b
 }
 
 func (s *snapReader) u64() uint64 {
-	var b [8]byte
-	s.raw(b[:])
-	return binary.LittleEndian.Uint64(b[:])
+	s.b8 = [8]byte{}
+	s.raw(s.b8[:])
+	return binary.LittleEndian.Uint64(s.b8[:])
 }
 
 func (s *snapReader) i64() int64   { return int64(s.u64()) }
@@ -225,67 +292,59 @@ func (s *snapReader) num(what string) int {
 	return int(n)
 }
 
-func (s *snapReader) str(what string) string {
-	n := s.length(what, snapMaxLen)
-	if s.err != nil || n == 0 {
-		return ""
-	}
-	b := make([]byte, n)
-	s.raw(b)
-	return string(b)
+func (s *snapReader) str(what string, max int) string {
+	return string(readArray(s, what, max, 1, getBytes))
 }
 
-func (s *snapReader) floats(what string) []float64 {
-	n := s.length(what, snapMaxLen)
+// readArray reads a length prefix bounded by max and that many values,
+// width bytes each. The values arrive one chunk at a time and the result
+// grows with them, so a forged length backed by no data fails as a
+// truncated snapshot without first allocating the length it claims.
+func readArray[T any](s *snapReader, what string, max, width int, get func([]T, []byte) error) []T {
+	n := s.length(what, max)
 	if s.err != nil {
 		return nil
 	}
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = s.f64()
+	v, err := tensor.ReadChunksN(s.r, n, width, s.chunk[:], get)
+	if err != nil {
+		s.readFailed(what, err)
+		return nil
 	}
 	return v
 }
 
-func (s *snapReader) i64s(what string) []int64 {
-	n := s.length(what, snapMaxLen)
+// readArrayUpTo reads a length prefix bounded by max and decodes the
+// values into buf's backing array (whose capacity is max), returning the
+// filled prefix.
+func readArrayUpTo[T any](s *snapReader, what string, buf []T, max int, get func([]T, []byte) error) []T {
+	n := s.length(what, max)
 	if s.err != nil {
-		return nil
+		return buf[:0]
 	}
-	v := make([]int64, n)
-	for i := range v {
-		v[i] = s.i64()
+	buf = slices.Grow(buf[:0], n)[:n]
+	if err := tensor.ReadChunks(s.r, buf, 8, s.chunk[:], get); err != nil {
+		s.readFailed(what, err)
 	}
-	return v
+	return buf
 }
 
-func (s *snapReader) i32s(what string) []int32 {
-	n := s.length(what, snapMaxLen)
-	if s.err != nil {
-		return nil
+// readArrayInto decodes an array that must fill dst exactly, in place.
+func readArrayInto[T any](s *snapReader, what string, dst []T, get func([]T, []byte) error) {
+	if got := readArrayUpTo(s, what, dst, len(dst), get); s.err == nil && len(got) != len(dst) {
+		s.fail("core: corrupt snapshot: %s sized %d, the spec builds %d", what, len(got), len(dst))
 	}
-	v := make([]int32, n)
-	for i := range v {
-		x := s.i64()
-		if x < math.MinInt32 || x > math.MaxInt32 {
-			s.fail("core: corrupt snapshot: %s[%d] value %d out of range", what, i, x)
-			return nil
-		}
-		v[i] = int32(x)
-	}
-	return v
 }
 
-func (s *snapReader) bools(what string) []bool {
-	n := s.length(what, snapMaxLen)
-	if s.err != nil {
-		return nil
-	}
-	v := make([]bool, n)
-	for i := range v {
-		v[i] = s.boolv()
-	}
-	return v
+func (s *snapReader) floats(what string, max int) []float64 {
+	return readArray(s, what, max, 8, tensor.GetFloat64s)
+}
+
+func (s *snapReader) i64s(what string, max int) []int64 {
+	return readArray(s, what, max, 8, getInt64s)
+}
+
+func (s *snapReader) i32s(what string, max int) []int32 {
+	return readArray(s, what, max, 8, getInt32s)
 }
 
 func (s *snapReader) rngState() prng.State {
@@ -372,7 +431,7 @@ func (rs *RunState) Snapshot(w io.Writer) error {
 	rec.syncEvals()
 
 	sw := newSnapWriter(w)
-	sw.raw([]byte(snapMagic))
+	sw.Write([]byte(snapMagic))
 	sw.u8(snapVersion)
 	sw.str(rs.spec.fingerprint(len(s.global)))
 	rs.snapshotCommon(sw)
@@ -385,20 +444,67 @@ func (rs *RunState) Snapshot(w io.Writer) error {
 
 // snapshotTransport serializes a StatefulTransport's run-long state
 // (error-feedback residuals) as a presence flag plus a length-prefixed
-// blob. Snapshot runs quiesced, so no transfer is mutating the state.
+// blob. A counting pass sizes the blob, then the state streams straight
+// into the snapshot: Snapshot runs quiesced, so no transfer mutates the
+// state between the two passes.
 func snapshotTransport(sw *snapWriter, t Transport) error {
 	st, ok := t.(StatefulTransport)
 	sw.boolv(ok)
 	if !ok {
 		return nil
 	}
-	var buf bytes.Buffer
-	if err := st.SnapshotState(&buf); err != nil {
+	var size countWriter
+	if err := st.SnapshotState(&size); err != nil {
 		return fmt.Errorf("core: snapshot transport state: %w", err)
 	}
-	sw.num(buf.Len())
-	sw.raw(buf.Bytes())
+	sw.i64(size.n)
+	body := countWriter{w: sw}
+	if err := st.SnapshotState(&body); err != nil {
+		return fmt.Errorf("core: snapshot transport state: %w", err)
+	}
+	if sw.err == nil && body.n != size.n {
+		return fmt.Errorf("core: snapshot transport state: streamed %d bytes, counted %d", body.n, size.n)
+	}
 	return nil
+}
+
+// countWriter counts the bytes written through it, forwarding them to w
+// when there is one.
+type countWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countWriter) Write(b []byte) (int, error) {
+	c.n += int64(len(b))
+	if c.w == nil {
+		return len(b), nil
+	}
+	return c.w.Write(b)
+}
+
+// sectionReader hands a transport exactly its section of the snapshot
+// and records whether the stream ended inside it.
+type sectionReader struct {
+	r     io.Reader
+	n     int64
+	short bool
+}
+
+func (s *sectionReader) Read(b []byte) (int, error) {
+	if s.n <= 0 {
+		return 0, io.EOF
+	}
+	if int64(len(b)) > s.n {
+		b = b[:s.n]
+	}
+	k, err := s.r.Read(b)
+	s.n -= int64(k)
+	if err == io.EOF && s.n > 0 {
+		s.short = true
+		err = io.ErrUnexpectedEOF
+	}
+	return k, err
 }
 
 // restoreTransport is snapshotTransport's inverse, run against the fresh
@@ -415,17 +521,21 @@ func restoreTransport(sr *snapReader, t Transport) error {
 	if !has {
 		return nil
 	}
-	n := sr.length("transport state", snapMaxLen)
+	// The transport bounds its own counts and reads its vectors as their
+	// bytes arrive; the section length only has to be present.
+	n := sr.length("transport state", math.MaxInt)
 	if sr.err != nil {
 		return sr.err
 	}
-	blob := make([]byte, n)
-	sr.raw(blob)
-	if sr.err != nil {
-		return sr.err
-	}
-	if err := st.RestoreState(bytes.NewReader(blob)); err != nil {
+	sec := &sectionReader{r: sr.r, n: int64(n)}
+	err := st.RestoreState(sec)
+	switch {
+	case sec.short:
+		return fmt.Errorf("core: truncated snapshot: transport state ends %d bytes short", sec.n)
+	case err != nil:
 		return fmt.Errorf("core: restore transport state: %w", err)
+	case sec.n != 0:
+		return fmt.Errorf("core: corrupt snapshot: transport state leaves %d of its bytes unread", sec.n)
 	}
 	return nil
 }
@@ -507,14 +617,10 @@ func (rs *RunState) snapshotCommon(sw *snapWriter) {
 // against the freshly built run.
 func (rs *RunState) restoreCommon(sr *snapReader) {
 	s := rs.run.server()
-	global := sr.floats("global model")
-	if sr.err == nil && len(global) != len(s.global) {
-		sr.fail("core: corrupt snapshot: global model has %d parameters, the spec builds %d", len(global), len(s.global))
-	}
+	readArrayInto(sr, "global model", s.global, tensor.GetFloat64s)
 	if sr.err != nil {
 		return
 	}
-	copy(s.global, global)
 	s.rng.SetState(sr.rngState())
 
 	n := sr.num("client count")
@@ -524,7 +630,7 @@ func (rs *RunState) restoreCommon(sr *snapReader) {
 	for i := 0; i < n && sr.err == nil; i++ {
 		c := s.clients[i]
 		if sr.boolv() {
-			hist := sr.floats("client historical model")
+			hist := sr.floats("client historical model", len(s.global))
 			if sr.err == nil && len(hist) != len(s.global) {
 				sr.fail("core: corrupt snapshot: client %d historical model has %d parameters, want %d", i, len(hist), len(s.global))
 			}
@@ -590,12 +696,13 @@ func (rs *RunState) restoreCommon(sr *snapReader) {
 
 	rec := rs.run.recorder()
 	res := rec.res
-	res.Rounds = sr.num("rounds")
-	res.TrainLoss = sr.floats("train-loss series")
-	res.CommBytesByRound = sr.i64s("comm-bytes series")
-	res.GFLOPsByRound = sr.floats("gflops series")
-	res.SimTimeByRound = sr.floats("sim-time series")
-	res.MeanStalenessByRound = sr.floats("staleness series")
+	rounds := s.cfg.Rounds
+	res.Rounds = sr.length("recorded rounds", rounds)
+	res.TrainLoss = sr.floats("train-loss series", rounds)
+	res.CommBytesByRound = sr.i64s("comm-bytes series", rounds)
+	res.GFLOPsByRound = sr.floats("gflops series", rounds)
+	res.SimTimeByRound = sr.floats("sim-time series", rounds)
+	res.MeanStalenessByRound = sr.floats("staleness series", rounds)
 	res.DroppedUpdates = sr.num("dropped updates")
 	res.RejectedUpdates = sr.num("rejected updates")
 	s.rejectedUpdates = res.RejectedUpdates
@@ -606,11 +713,20 @@ func (rs *RunState) restoreCommon(sr *snapReader) {
 	rec.prevEval = sr.num("previous evaluation round")
 	rec.lastSubmitted = sr.num("last submitted evaluation round")
 	rec.lastAcc = sr.f64()
-	nAccs := sr.length("accuracy map", snapMaxLen)
+	// Evaluated rounds are 0..Rounds, written in increasing order, and
+	// include the last submitted one (Snapshot waits for it; a resumed
+	// Snapshot would wait forever for one that is missing).
+	nAccs := sr.length("accuracy map", rounds+1)
 	accs := make(map[int]float64, nAccs)
-	for i := 0; i < nAccs && sr.err == nil; i++ {
+	for i, prev := 0, -1; i < nAccs && sr.err == nil; i++ {
 		r := sr.num("accuracy round")
-		accs[r] = sr.f64()
+		if sr.err == nil && r <= prev {
+			sr.fail("core: corrupt snapshot: accuracy round %d after %d", r, prev)
+		}
+		accs[r], prev = sr.f64(), r
+	}
+	if _, ok := accs[rec.lastSubmitted]; sr.err == nil && rec.lastSubmitted > 0 && !ok {
+		sr.fail("core: corrupt snapshot: no accuracy for the last submitted round %d", rec.lastSubmitted)
 	}
 	if sr.err == nil {
 		rec.ev.preload(accs)
@@ -621,54 +737,67 @@ func (rs *RunState) restoreCommon(sr *snapReader) {
 	}
 }
 
-func writeScalarMap(sw *snapWriter, m map[string]float64) {
-	keys := make([]string, 0, len(m))
+// sortedKeys returns m's keys in order, in the writer's scratch slice:
+// the result is valid until the next call, and an empty map costs
+// nothing.
+func sortedKeys[V any](sw *snapWriter, m map[string]V) []string {
+	keys := sw.keys[:0]
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
-	sw.num(len(keys))
-	for _, k := range keys {
+	slices.Sort(keys)
+	sw.keys = keys
+	return keys
+}
+
+func writeScalarMap(sw *snapWriter, m map[string]float64) {
+	sw.num(len(m))
+	for _, k := range sortedKeys(sw, m) {
 		sw.str(k)
 		sw.f64(m[k])
 	}
 }
 
+// readMapKey reads the i-th key of a map section, which must sort after
+// the previous one: the writer emits keys in strictly increasing order.
+func readMapKey(sr *snapReader, what string, i int, prev string) string {
+	k := sr.str(what, snapMaxName)
+	if sr.err == nil && i > 0 && k <= prev {
+		sr.fail("core: corrupt snapshot: %s %q after %q", what, k, prev)
+	}
+	return k
+}
+
 func readScalarMap(sr *snapReader) map[string]float64 {
-	n := sr.length("scalar map", snapMaxLen)
+	n := sr.length("scalar map", snapMaxKeys)
 	if n == 0 {
 		return nil
 	}
 	m := make(map[string]float64, n)
-	for i := 0; i < n && sr.err == nil; i++ {
-		k := sr.str("scalar name")
+	for i, k := 0, ""; i < n && sr.err == nil; i++ {
+		k = readMapKey(sr, "scalar name", i, k)
 		m[k] = sr.f64()
 	}
 	return m
 }
 
 func writeVecMap(sw *snapWriter, m map[string][]float64) {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	sw.num(len(keys))
-	for _, k := range keys {
+	sw.num(len(m))
+	for _, k := range sortedKeys(sw, m) {
 		sw.str(k)
 		sw.floats(m[k])
 	}
 }
 
 func readVecMap(sr *snapReader, numParams int) map[string][]float64 {
-	n := sr.length("state-vector map", snapMaxLen)
+	n := sr.length("state-vector map", snapMaxKeys)
 	if n == 0 {
 		return nil
 	}
 	m := make(map[string][]float64, n)
-	for i := 0; i < n && sr.err == nil; i++ {
-		k := sr.str("state-vector name")
-		v := sr.floats("state vector")
+	for i, k := 0, ""; i < n && sr.err == nil; i++ {
+		k = readMapKey(sr, "state-vector name", i, k)
+		v := sr.floats("state vector", numParams)
 		if sr.err == nil && len(v) != numParams {
 			sr.fail("core: corrupt snapshot: state vector %q has %d elements, want %d", k, len(v), numParams)
 			return nil
@@ -728,7 +857,7 @@ func readJob(sr *snapReader, s *Server) *trainJob {
 	j.downBytes = sr.i64()
 	j.upBytes = sr.i64()
 	j.update.ClientID = sr.num("update client")
-	j.update.Params = sr.floats("update params")
+	j.update.Params = sr.floats("update params", len(s.global))
 	j.update.NumSamples = sr.num("update samples")
 	j.update.TrainLoss = sr.f64()
 	j.update.pooled = true
@@ -749,26 +878,19 @@ func writePopulation(sw *snapWriter, p *population) {
 
 func readPopulation(sr *snapReader, p *population) {
 	n := len(p.dispatches)
-	dispatches := sr.i32s("dispatch counts")
-	ids := sr.i32s("idle set")
+	readArrayInto(sr, "dispatch counts", p.dispatches, getInt32s)
+	p.idle.ids = readArrayUpTo(sr, "idle set", p.idle.ids, n, getInt32s)
 	if sr.err != nil {
 		return
 	}
-	if len(dispatches) != n || len(ids) > n {
-		sr.fail("core: corrupt snapshot: fleet state sized %d/%d, population is %d", len(dispatches), len(ids), n)
-		return
-	}
-	copy(p.dispatches, dispatches)
-	p.idle.ids = p.idle.ids[:0]
 	for i := range p.idle.pos {
 		p.idle.pos[i] = -1
 	}
-	for i, id := range ids {
-		if id < 0 || int(id) >= n {
-			sr.fail("core: corrupt snapshot: idle client %d outside population of %d", id, n)
+	for i, id := range p.idle.ids {
+		if id < 0 || int(id) >= n || p.idle.pos[id] >= 0 {
+			sr.fail("core: corrupt snapshot: idle set entry %d = %d: outside population of %d or repeated", i, id, n)
 			return
 		}
-		p.idle.ids = append(p.idle.ids, id)
 		p.idle.pos[id] = int32(i)
 	}
 }
@@ -802,14 +924,10 @@ func writeChurn(sw *snapWriter, c *churn) {
 
 func readChurn(sr *snapReader, c *churn) {
 	n := c.n
-	order := sr.i32s("churn order")
-	if sr.err == nil && len(order) != n {
-		sr.fail("core: corrupt snapshot: churn order sized %d, population is %d", len(order), n)
-	}
+	readArrayInto(sr, "churn order", c.order, getInt32s)
 	if sr.err != nil {
 		return
 	}
-	copy(c.order, order)
 	for i := range c.pos {
 		c.pos[i] = -1
 	}
@@ -831,7 +949,10 @@ func readChurn(sr *snapReader, c *churn) {
 	c.nextRejoin = sr.f64()
 	c.seq = sr.i64()
 	c.rng.SetState(sr.rngState())
-	nEvents := sr.length("churn event heap", snapMaxLen)
+	// Each scheduled mass drop is pending as its own event or, once fired,
+	// as its group's rejoin.
+	drops := len(c.model.Drops)
+	nEvents := sr.length("churn event heap", drops)
 	c.h.es = c.h.es[:0]
 	for i := 0; i < nEvents && sr.err == nil; i++ {
 		var e churnEvent
@@ -839,16 +960,16 @@ func readChurn(sr *snapReader, c *churn) {
 		e.seq = sr.i64()
 		e.id = int32(sr.num("churn event id"))
 		e.kind = churnEventKind(sr.u8())
-		if sr.err == nil && e.kind > churnGroupRejoin {
-			sr.fail("core: corrupt snapshot: churn event kind %d", e.kind)
+		if sr.err == nil && (e.kind > churnGroupRejoin || e.kind == churnMass && (e.id < 0 || int(e.id) >= drops)) {
+			sr.fail("core: corrupt snapshot: churn event kind %d id %d", e.kind, e.id)
 			return
 		}
 		c.h.es = append(c.h.es, e)
 	}
-	nGroups := sr.length("churn rejoin groups", snapMaxLen)
+	nGroups := sr.length("churn rejoin groups", drops)
 	c.groups = c.groups[:0]
 	for i := 0; i < nGroups && sr.err == nil; i++ {
-		g := sr.i32s("churn rejoin group")
+		g := sr.i32s("churn rejoin group", n)
 		for _, id := range g {
 			if id < 0 || int(id) >= n {
 				sr.fail("core: corrupt snapshot: churn group member %d outside population of %d", id, n)
@@ -926,18 +1047,24 @@ func (r *bufferedRunner) restoreBody(sr *snapReader) error {
 	a.now = sr.f64()
 	a.latRng.SetState(sr.rngState())
 	readPopulation(sr, a.pop)
-	nInflight := sr.length("in-flight jobs", snapMaxLen)
+	nInflight := sr.length("in-flight jobs", a.spec.Concurrency)
 	r.inflight.js = r.inflight.js[:0]
 	for i := 0; i < nInflight && sr.err == nil; i++ {
 		j := readJob(sr, s)
 		if j == nil {
 			break
 		}
+		if r.inflight.slot[j.c.ID] != 0 {
+			sr.fail("core: corrupt snapshot: client %d in flight twice", j.c.ID)
+			break
+		}
 		j.heapIdx = i
 		r.inflight.js = append(r.inflight.js, j)
 		r.inflight.slot[j.c.ID] = int32(i) + 1
 	}
-	nBuffer := sr.length("buffered jobs", snapMaxLen)
+	// Live jobs never exceed Concurrency + BufferSize (the free list's
+	// bound); at a round boundary the buffer has just merged and is empty.
+	nBuffer := sr.length("buffered jobs", a.spec.Concurrency+a.spec.BufferSize)
 	r.buffer = r.buffer[:0]
 	for i := 0; i < nBuffer && sr.err == nil; i++ {
 		j := readJob(sr, s)
@@ -1007,7 +1134,7 @@ func (rs *RunState) restore(r io.Reader) error {
 	if v := sr.u8(); sr.err == nil && v != snapVersion {
 		return fmt.Errorf("core: run snapshot version %d, this build reads version %d", v, snapVersion)
 	}
-	theirs := sr.str("fingerprint")
+	theirs := sr.str("fingerprint", snapMaxFingerprint)
 	if sr.err != nil {
 		return sr.err
 	}
@@ -1022,5 +1149,15 @@ func (rs *RunState) restore(r io.Reader) error {
 	if err := restoreTransport(sr, rs.run.server().cfg.Transport); err != nil {
 		return err
 	}
-	return rs.run.restoreBody(sr)
+	if err := rs.run.restoreBody(sr); err != nil {
+		return err
+	}
+	// The runner section ends the snapshot: anything after it is not
+	// part of this format, and a re-snapshot could not reproduce it.
+	if _, err := sr.r.ReadByte(); err == nil {
+		return fmt.Errorf("core: corrupt snapshot: trailing bytes after the runner section")
+	} else if err != io.EOF {
+		return fmt.Errorf("core: truncated snapshot: %w", err)
+	}
+	return nil
 }

@@ -2,14 +2,18 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/data"
 	"repro/internal/nn"
 	"repro/internal/partition"
+	"repro/internal/prng"
 )
 
 // snapTestConfig builds a small run for snapshot tests: MNIST-like data,
@@ -339,5 +343,172 @@ func TestSnapshotRefusesServerSideAggregators(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "cannot snapshot") {
 		t.Fatalf("unexpected error: %v", err)
+	}
+}
+
+// TestSnapshotForgedLengthAllocationBounded: a 64-byte FTRS prefix whose
+// first array claims 2^30 floats (8 GiB) must fail as a truncated
+// snapshot having allocated about what the stream held, not the claim.
+func TestSnapshotForgedLengthAllocationBounded(t *testing.T) {
+	raw := make([]byte, 64)
+	copy(raw, snapMagic)
+	raw[4] = snapVersion
+	binary.LittleEndian.PutUint64(raw[5:], 1<<30)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	sr := newSnapReader(bytes.NewReader(raw))
+	var magic [4]byte
+	sr.raw(magic[:])
+	sr.u8()
+	v := sr.floats("forged array", 1<<30)
+	runtime.ReadMemStats(&m1)
+	if v != nil || sr.err == nil || !strings.Contains(sr.err.Error(), "truncated snapshot") {
+		t.Fatalf("forged length: %d values, err %v; want a truncated-snapshot error", len(v), sr.err)
+	}
+	if grew := m1.TotalAlloc - m0.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("forged length allocated %d bytes before failing", grew)
+	}
+}
+
+// TestResumeRejectsForgedLengths: lengths are bounded by what the
+// rebuilt run implies, and a snapshot ends where its runner section does.
+func TestResumeRejectsForgedLengths(t *testing.T) {
+	cfg := snapTestConfig(t, 4)
+	spec := RunSpec{Config: cfg}
+	rs, err := NewRunState(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rs.Step(); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := rs.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	rs.Close()
+	good := buf.Bytes()
+	// The global model's length prefix follows the fingerprint.
+	at := 5 + 8 + int(binary.LittleEndian.Uint64(good[5:]))
+	forged := func(n uint64) []byte {
+		b := slices.Clone(good)
+		binary.LittleEndian.PutUint64(b[at:], n)
+		return b
+	}
+	fingerprint := slices.Clone(good)
+	binary.LittleEndian.PutUint64(fingerprint[5:], 1<<62)
+	cases := []struct {
+		name    string
+		data    []byte
+		wantErr string
+	}{
+		{"global model 2^30", forged(1 << 30), "global model length 1073741824 outside"},
+		{"global model negative", forged(1 << 63), "global model length -9223372036854775808 outside"},
+		{"global model short", forged(3), "global model sized 3"},
+		{"fingerprint 2^62", fingerprint, "fingerprint length"},
+		{"trailing bytes", append(slices.Clone(good), 0), "trailing bytes"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Resume(bytes.NewReader(tc.data), ResumeSpec{Spec: spec})
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("error %v, want one mentioning %q", err, tc.wantErr)
+			}
+		})
+	}
+}
+
+// allocSpec is an async MLP run over a fleet of n clients drawn from a
+// shared sample pool; the concurrency, buffer and round count — hence
+// the number of participants — do not depend on n.
+func allocSpec(t *testing.T, n int, scale float64) RunSpec {
+	t.Helper()
+	const perClient, pool = 4, 1000
+	train, test, err := data.Generate(data.Spec{Kind: data.KindMNIST, Train: pool, Test: 50, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := prng.New(7)
+	parts := make([][]int, n)
+	flat := make([]int, n*perClient)
+	for i := range parts {
+		p := flat[i*perClient : (i+1)*perClient : (i+1)*perClient]
+		for k := range p {
+			p[k] = rng.Intn(pool)
+		}
+		parts[i] = p
+	}
+	return RunSpec{
+		Config: Config{
+			Model: nn.ModelSpec{Arch: nn.ArchMLP, Channels: 1, Height: 28, Width: 28, Classes: 10, Scale: scale},
+			Train: train, Test: test, Parts: parts,
+			Rounds: 6, ClientsPerRound: 8, BatchSize: 4, LocalEpochs: 1,
+			LR: 0.05, Momentum: 0.9, Algo: NewFedTrip(0.4), Seed: 11,
+		},
+		Runtime:     RuntimeAsync,
+		Concurrency: 16,
+		BufferSize:  8,
+		Latency:     ExponentialLatency{Mean: 2},
+		Churn:       &ChurnModel{MeanUp: 400, MeanDown: 40, Drops: []MassDrop{{At: 1, Fraction: 0.2, Duration: 50}}},
+	}
+}
+
+// snapshotMallocs steps a run and counts the heap objects one Snapshot
+// allocates: the least of several Snapshots, since the runtime itself
+// sometimes allocates inside the window (a collection empties its cache
+// of goroutine wait records, which quiescing then refills).
+func snapshotMallocs(t *testing.T, spec RunSpec) uint64 {
+	t.Helper()
+	rs, err := NewRunState(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	for i := 0; i < 3; i++ {
+		if _, err := rs.Step(); err != nil {
+			t.Fatalf("step %d: %v", i+1, err)
+		}
+	}
+	var buf bytes.Buffer
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 6; i++ {
+		buf.Reset() // the first Snapshot sizes the buffer
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := rs.Snapshot(&buf)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 {
+			least = min(least, after.Mallocs-before.Mallocs)
+		}
+	}
+	return least
+}
+
+// TestSnapshotAllocsIndependentOfFleet pins the codec's allocation
+// count: the same run over 10k and 100k clients, and over a model twice
+// as wide, must allocate the same small number of objects per Snapshot —
+// no term per client and none per serialized value.
+func TestSnapshotAllocsIndependentOfFleet(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc pin runs in the non-race job")
+	}
+	const maxObjects = 64
+	base := snapshotMallocs(t, allocSpec(t, 10_000, 0.25))
+	for _, tc := range []struct {
+		name    string
+		clients int
+		scale   float64
+	}{
+		{"100k clients", 100_000, 0.25},
+		{"wider model", 10_000, 0.5},
+	} {
+		got := snapshotMallocs(t, allocSpec(t, tc.clients, tc.scale))
+		t.Logf("%s: %d objects per Snapshot (10k clients: %d)", tc.name, got, base)
+		if got > maxObjects || base > maxObjects || got > base+4 {
+			t.Fatalf("%s: Snapshot allocates %d objects, 10k clients %d: the count grows with the fleet or the model", tc.name, got, base)
+		}
 	}
 }

@@ -1,11 +1,9 @@
 package tensor
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 )
 
 // Vector serialization: a compact, versioned binary format for flat
@@ -24,100 +22,60 @@ var (
 	magicF32 = [4]byte{'F', 'T', 'V', '2'}
 )
 
+// maxVectorLen rejects corrupt headers outright (16 GiB of float64s);
+// below it, reading allocates only as the payload actually arrives.
+const maxVectorLen = 1 << 31
+
 // WriteVector writes v in full float64 precision.
 func WriteVector(w io.Writer, v []float64) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(magicF64[:]); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint64(len(v))); err != nil {
-		return err
-	}
-	buf := make([]byte, 8)
-	for _, x := range v {
-		binary.LittleEndian.PutUint64(buf, math.Float64bits(x))
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return writeVector(w, magicF64, v, 8, PutFloat64s)
 }
 
 // ReadVector reads a float64 vector written by WriteVector.
 func ReadVector(r io.Reader) ([]float64, error) {
-	br := bufio.NewReader(r)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("tensor: reading vector magic: %w", err)
-	}
-	if magic != magicF64 {
-		return nil, fmt.Errorf("tensor: bad vector magic %q (want %q)", magic, magicF64)
-	}
-	var count uint64
-	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
-		return nil, fmt.Errorf("tensor: reading vector length: %w", err)
-	}
-	const maxElems = 1 << 31 // 16 GiB of float64s; reject corrupt headers
-	if count > maxElems {
-		return nil, fmt.Errorf("tensor: vector length %d implausibly large", count)
-	}
-	v := make([]float64, count)
-	buf := make([]byte, 8)
-	for i := range v {
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, fmt.Errorf("tensor: reading vector element %d: %w", i, err)
-		}
-		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf))
-	}
-	return v, nil
+	return readVector(r, magicF64, 8, GetFloat64s)
 }
 
 // WriteVectorF32 writes v at float32 transport precision (half the bytes;
 // this is the precision the paper's MB columns assume).
 func WriteVectorF32(w io.Writer, v []float64) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(magicF32[:]); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint64(len(v))); err != nil {
-		return err
-	}
-	buf := make([]byte, 4)
-	for _, x := range v {
-		binary.LittleEndian.PutUint32(buf, math.Float32bits(float32(x)))
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return writeVector(w, magicF32, v, 4, putFloat32s)
 }
 
 // ReadVectorF32 reads a float32 vector written by WriteVectorF32,
 // widening to float64.
 func ReadVectorF32(r io.Reader) ([]float64, error) {
-	br := bufio.NewReader(r)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
+	return readVector(r, magicF32, 4, getFloat32s)
+}
+
+func writeVector(w io.Writer, magic [4]byte, v []float64, width int, put func([]byte, []float64)) error {
+	var head [12]byte
+	copy(head[:], magic[:])
+	binary.LittleEndian.PutUint64(head[4:], uint64(len(v)))
+	if _, err := w.Write(head[:]); err != nil {
+		return err
+	}
+	return WriteChunks(w, v, width, chunkFor(len(v), width), put)
+}
+
+func readVector(r io.Reader, magic [4]byte, width int, get func([]float64, []byte) error) ([]float64, error) {
+	var head [12]byte
+	if _, err := io.ReadFull(r, head[:4]); err != nil {
 		return nil, fmt.Errorf("tensor: reading vector magic: %w", err)
 	}
-	if magic != magicF32 {
-		return nil, fmt.Errorf("tensor: bad vector magic %q (want %q)", magic, magicF32)
+	if [4]byte(head[:4]) != magic {
+		return nil, fmt.Errorf("tensor: bad vector magic %q (want %q)", head[:4], magic)
 	}
-	var count uint64
-	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
+	if _, err := io.ReadFull(r, head[4:]); err != nil {
 		return nil, fmt.Errorf("tensor: reading vector length: %w", err)
 	}
-	const maxElems = 1 << 31
-	if count > maxElems {
+	count := binary.LittleEndian.Uint64(head[4:])
+	if count > maxVectorLen {
 		return nil, fmt.Errorf("tensor: vector length %d implausibly large", count)
 	}
-	v := make([]float64, count)
-	buf := make([]byte, 4)
-	for i := range v {
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, fmt.Errorf("tensor: reading vector element %d: %w", i, err)
-		}
-		v[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(buf)))
+	v, err := ReadChunksN(r, int(count), width, chunkFor(int(count), width), get)
+	if err != nil {
+		return nil, fmt.Errorf("tensor: reading vector payload: %w", err)
 	}
 	return v, nil
 }
