@@ -177,7 +177,7 @@ func BenchmarkSyncRuntimeThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c := cfg
 		c.Algo = core.NewFedTrip(0.4)
-		res, err := core.Run(c)
+		res, err := core.Start(core.RunSpec{Config: c})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -195,14 +195,15 @@ func BenchmarkAsyncRuntimeThroughput(b *testing.B) {
 	b.ResetTimer()
 	updates := 0
 	for i := 0; i < b.N; i++ {
-		c := core.AsyncConfig{
+		c := core.RunSpec{
 			Config:      cfg,
+			Runtime:     core.RuntimeAsync,
 			Concurrency: 8,
 			BufferSize:  4,
 			Latency:     core.UniformLatency{Min: 1, Max: 3},
 		}
 		c.Algo = core.NewFedTrip(0.4)
-		res, err := core.RunAsync(c)
+		res, err := core.Start(c)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -258,7 +259,7 @@ func benchSyncPopulation(b *testing.B, clients int) {
 	for i := 0; i < b.N; i++ {
 		c := cfg
 		c.Algo = core.NewFedTrip(0.4)
-		res, err := core.Run(c)
+		res, err := core.Start(core.RunSpec{Config: c})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -273,14 +274,15 @@ func benchAsyncPopulation(b *testing.B, clients int) {
 	b.ResetTimer()
 	updates := 0
 	for i := 0; i < b.N; i++ {
-		c := core.AsyncConfig{
+		c := core.RunSpec{
 			Config:      cfg,
+			Runtime:     core.RuntimeAsync,
 			Concurrency: 128,
 			BufferSize:  32,
 			Latency:     core.StragglerLatency{Fast: 1, Slow: 10, SlowEvery: 7},
 		}
 		c.Algo = core.NewFedTrip(0.4)
-		res, err := core.RunAsync(c)
+		res, err := core.Start(c)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -452,13 +454,14 @@ func benchScalePopulation(b *testing.B, clients int) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		spec := benchScaleSpec(b, clients)
-		a, err := core.NewAsyncServerSpec(spec)
+		rs, err := core.NewRunState(spec)
 		if err != nil {
 			b.Fatal(err)
 		}
+		a := rs.Async()
 		perClientBytes = a.PerClientStateBytes()
 		b.StartTimer()
-		if _, err := a.Run(); err != nil {
+		if _, err := rs.Run(); err != nil {
 			b.Fatal(err)
 		}
 		_, dispatches := a.Participation()

@@ -114,7 +114,7 @@ func main() {
 		spec  func(method string) core.RunSpec
 	}{
 		// Sync: the barrier runtime is the lock-step loop priced under
-		// the latency model (zero latency reproduces Server.Run
+		// the latency model (zero latency reproduces the sync runtime
 		// bit-for-bit).
 		{"sync", func(m string) core.RunSpec {
 			sp := base(m)
@@ -206,7 +206,8 @@ func tenThousandClients() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	acfg := core.AsyncConfig{
+	acfg := core.RunSpec{
+		Runtime: core.RuntimeAsync,
 		Config: core.Config{
 			Model: nn.ModelSpec{
 				Arch: nn.ArchMLP, Channels: 1, Height: 28, Width: 28, Classes: 10, Scale: 0.5,
@@ -223,13 +224,14 @@ func tenThousandClients() {
 		// Every 7th client is a 10x straggler: ~1400 slow devices.
 		Latency: core.StragglerLatency{Fast: 1, Slow: 10, SlowEvery: 7},
 	}
-	a, err := core.NewAsyncServer(acfg)
+	rs, err := core.NewRunState(acfg)
 	if err != nil {
 		log.Fatal(err)
 	}
+	a := rs.Async()
 	fmt.Printf("\n10k-client straggler fleet: %d clients, %d in flight, buffer %d, %d aggregations\n",
 		clients, inflight, buffer, aggs)
-	res, err := a.Run()
+	res, err := rs.Run()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -316,14 +318,15 @@ func churnScenario() {
 		},
 		Policy: core.WithMaxStaleness(&core.FedBuffPolicy{}, 16),
 	}
-	a, err := core.NewAsyncServerSpec(spec)
+	rs, err := core.NewRunState(spec)
 	if err != nil {
 		log.Fatal(err)
 	}
+	a := rs.Async()
 	fmt.Printf("10k-client churn fleet: %d clients, %d in flight, buffer %d, %d aggregations\n",
 		clients, inflight, buffer, aggs)
 	fmt.Printf("  devices lognormal(0,0.75), adaptive steps, markov:90,10 churn + 20%% mass drop, maxstale:16\n")
-	res, err := a.Run()
+	res, err := rs.Run()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -405,14 +408,15 @@ func scaleScenario(clients int) {
 			Drops: []core.MassDrop{{At: 10, Fraction: 0.1, Duration: 10}},
 		},
 	}
-	a, err := core.NewAsyncServerSpec(spec)
+	rs, err := core.NewRunState(spec)
 	if err != nil {
 		log.Fatal(err)
 	}
+	a := rs.Async()
 	built := time.Since(start)
 	fmt.Printf("%d-client scale fleet: %d in flight, buffer %d, %d aggregations, markov:400,40 churn + 10%% mass drop\n",
 		clients, inflight, buffer, aggs)
-	res, err := a.Run()
+	res, err := rs.Run()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -463,7 +467,7 @@ func participationLadder() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			res, err := core.Run(core.Config{
+			res, err := core.Start(core.RunSpec{Config: core.Config{
 				Model: nn.ModelSpec{
 					Arch: nn.ArchMLP, Channels: 1, Height: 28, Width: 28, Classes: 10,
 				},
@@ -472,7 +476,7 @@ func participationLadder() {
 				BatchSize: 10, LocalEpochs: 1,
 				LR: 0.01, Momentum: 0.9,
 				Algo: algo, Seed: 33,
-			})
+			}})
 			if err != nil {
 				log.Fatal(err)
 			}

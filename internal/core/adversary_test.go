@@ -166,7 +166,7 @@ func TestMedianMergePins(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, s := robustMergeServer(t, &MedianPolicy{})
-			s.aggregate(1, constUpdates(len(s.global), tc.vals...))
+			policyMerge(s, 1, constUpdates(len(s.global), tc.vals...))
 			requireGlobalConst(t, s, tc.want, "median")
 		})
 	}
@@ -191,7 +191,7 @@ func TestTrimmedMeanMergePins(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, s := robustMergeServer(t, &TrimmedMeanPolicy{Frac: tc.frac})
-			s.aggregate(1, constUpdates(len(s.global), tc.vals...))
+			policyMerge(s, 1, constUpdates(len(s.global), tc.vals...))
 			requireGlobalConst(t, s, tc.want, "trimmedmean")
 		})
 	}
@@ -202,7 +202,7 @@ func TestTrimmedMeanMergePins(t *testing.T) {
 // averages the cluster.
 func TestKrumMergePin(t *testing.T) {
 	_, s := robustMergeServer(t, &KrumPolicy{Frac: 0.2})
-	s.aggregate(1, constUpdates(len(s.global), 0.1, 0.12, 0.08, 0.1, 50))
+	policyMerge(s, 1, constUpdates(len(s.global), 0.1, 0.12, 0.08, 0.1, 50))
 	requireGlobalConst(t, s, (0.1+0.12+0.08+0.1)/4, "krum")
 }
 
@@ -216,7 +216,7 @@ func TestNormClipGuard(t *testing.T) {
 	// u1 sits at distance 3*sqrt(n) (clipped onto the ball: each
 	// coordinate becomes 1/sqrt(n)); u2 is well inside (untouched).
 	inside := 0.5 / math.Sqrt(float64(n))
-	s.aggregate(1, constUpdates(n, 3, inside))
+	policyMerge(s, 1, constUpdates(n, 3, inside))
 	want := (maxNorm/math.Sqrt(float64(n)) + inside) / 2
 	requireGlobalConst(t, s, want, "clip")
 }
@@ -231,13 +231,13 @@ func TestNonFiniteRejection(t *testing.T) {
 		bad[i] = math.NaN()
 	}
 	us = append(us, Update{ClientID: 2, Params: bad, NumSamples: 10})
-	s.aggregate(1, us)
+	policyMerge(s, 1, us)
 	requireGlobalConst(t, s, 3, "screened fedavg")
 	if s.rejectedUpdates != 1 {
 		t.Fatalf("rejectedUpdates = %d, want 1", s.rejectedUpdates)
 	}
 	// An all-rejected buffer merges as a no-op, not a NaN model.
-	s.aggregate(2, []Update{{ClientID: 2, Params: bad, NumSamples: 10}})
+	policyMerge(s, 2, []Update{{ClientID: 2, Params: bad, NumSamples: 10}})
 	requireGlobalConst(t, s, 3, "all-rejected merge")
 	if s.rejectedUpdates != 2 {
 		t.Fatalf("rejectedUpdates = %d, want 2", s.rejectedUpdates)

@@ -1,7 +1,7 @@
 // Asynchronous, staleness-aware federated runtime.
 //
-// The synchronous Server.Run is the paper's lock-step loop: select K
-// clients, wait for all of them, aggregate. Under heterogeneous client
+// The sync runtime is the paper's lock-step loop: select K clients, wait
+// for all of them, aggregate. Under heterogeneous client
 // speeds every round costs the straggler's latency. The AsyncServer
 // instead keeps a fixed number of clients training at all times and
 // aggregates every BufferSize arrivals (FedBuff-style buffered async),
@@ -66,73 +66,11 @@ func PolyDiscount(a float64) func(staleness int) float64 {
 	}
 }
 
-// AsyncConfig configures the asynchronous runtime on top of a base
-// Config. Config.Rounds counts buffered aggregations (the async analogue
-// of a communication round); Config.ClientsPerRound seeds the defaults
-// for Concurrency and BufferSize. It is the legacy async surface — a thin
-// mapping onto the unified RunSpec (Runtime async, or barrier when
-// RoundBarrier is set); new callers should build a RunSpec and call Start
-// directly, which also exposes the pluggable AggregationPolicy.
-type AsyncConfig struct {
-	Config
-	// Concurrency is the number of clients training simultaneously in
-	// simulated time (FedBuff's M). Defaults to ClientsPerRound. Must not
-	// exceed the population. Real parallelism is bounded separately by
-	// Config.Shards.
-	Concurrency int
-	// BufferSize is the number of arrivals per aggregation (FedBuff's K).
-	// Defaults to ClientsPerRound.
-	BufferSize int
-	// Latency models each dispatch's virtual duration. Defaults to
-	// ZeroLatency.
-	Latency LatencyModel
-	// RoundBarrier switches to lock-step semantics: each round selects
-	// ClientsPerRound clients exactly like the synchronous server, waits
-	// for all of them (round time = straggler's latency), and merges with
-	// staleness 0. With ZeroLatency this reproduces Server.Run bit-for-bit
-	// on the same seed; with a real latency model it prices the
-	// synchronous straggler tax in simulated time.
-	RoundBarrier bool
-	// Discount maps staleness to a weight multiplier on the update's
-	// data-size aggregation weight. Resolution order: the Algorithm's
-	// StalenessWeighter override if implemented, then this field, then
-	// PolyDiscount(0.5).
-	Discount func(staleness int) float64
-}
-
-// spec maps the legacy async configuration onto the unified RunSpec.
-func (c *AsyncConfig) spec() RunSpec {
-	rt := RuntimeAsync
-	if c.RoundBarrier {
-		rt = RuntimeBarrier
-	}
-	return RunSpec{
-		Config:      c.Config,
-		Runtime:     rt,
-		Concurrency: c.Concurrency,
-		BufferSize:  c.BufferSize,
-		Latency:     c.Latency,
-		Discount:    c.Discount,
-	}
-}
-
-// Validate checks the async knobs and fills defaults. It delegates to the
-// unified RunSpec.Validate — the one place run defaults live — and copies
-// the resolved values back.
-func (c *AsyncConfig) Validate() error {
-	sp := c.spec()
-	if err := sp.Validate(); err != nil {
-		return err
-	}
-	c.Config = sp.Config
-	c.Concurrency = sp.Concurrency
-	c.BufferSize = sp.BufferSize
-	c.Latency = sp.Latency
-	return nil
-}
-
-// AsyncServer drives the asynchronous runtime over a regular Server (same
-// population, global model, metering, and evaluation).
+// AsyncServer is the simulated clock over a regular Server (same
+// population, global model, metering, and evaluation): the latency
+// stream, the population registry, the device and network pricing, and
+// the churn process. The barrier and async runtimes run on it; the sync
+// runtime has none.
 type AsyncServer struct {
 	s      *Server
 	spec   RunSpec
@@ -152,39 +90,9 @@ type AsyncServer struct {
 	joinScratch []*trainJob
 }
 
-// NewAsyncServer validates the legacy configuration and builds the
-// population; it is RunSpec/Start's async path behind the old API.
-func NewAsyncServer(cfg AsyncConfig) (*AsyncServer, error) {
-	sp := cfg.spec()
-	if err := sp.Validate(); err != nil {
-		return nil, err
-	}
-	return newAsyncServer(sp)
-}
-
-// NewAsyncServerSpec validates a RunSpec and builds its async runtime —
-// Start's async path for callers that want the server handle (fleet
-// statistics: Participation, Offline, DeviceSpeeds) around the run. The
-// spec's runtime must be async or barrier.
-func NewAsyncServerSpec(sp RunSpec) (*AsyncServer, error) {
-	if err := sp.Validate(); err != nil {
-		return nil, err
-	}
-	if sp.Runtime == RuntimeSync {
-		return nil, fmt.Errorf("core: NewAsyncServerSpec wants the async or barrier runtime, got %q", sp.Runtime)
-	}
-	return newAsyncServer(sp)
-}
-
-// newAsyncServer builds the runtime from a validated spec (policy
+// newAsyncServer builds the clock over s from a validated spec (policy
 // resolved, defaults filled).
-func newAsyncServer(sp RunSpec) (*AsyncServer, error) {
-	s, err := NewServer(sp.Config)
-	if err != nil {
-		return nil, err
-	}
-	s.installPolicy(sp.Policy)
-	s.installFaults(sp.Faults)
+func newAsyncServer(s *Server, sp RunSpec) *AsyncServer {
 	a := &AsyncServer{
 		s:    s,
 		spec: sp,
@@ -197,7 +105,7 @@ func newAsyncServer(sp RunSpec) (*AsyncServer, error) {
 	if sp.Churn != nil {
 		a.churn = newChurn(len(s.clients), sp.Churn, sp.Seed)
 	}
-	return a, nil
+	return a
 }
 
 // adaptiveSteps is a device's per-round mini-batch step budget: the
@@ -248,10 +156,6 @@ func (a *AsyncServer) armJob(j *trainJob, id int) {
 		j.steps = adaptiveSteps(j.speed, len(j.c.Indices), a.spec.BatchSize, a.spec.LocalEpochs)
 	}
 }
-
-// Server exposes the underlying synchronous server (global model, clients,
-// evaluation) for tests and hooks.
-func (a *AsyncServer) Server() *Server { return a.s }
 
 // Now returns the current virtual time in seconds.
 func (a *AsyncServer) Now() float64 { return a.now }
@@ -326,142 +230,6 @@ func (a *AsyncServer) PerClientStateBytes() float64 {
 		total += int64(8 * cap(c.Indices))
 	}
 	return float64(total) / float64(n)
-}
-
-// RunAsync executes the legacy async configuration through the unified
-// facade (equivalent to Start on the corresponding RunSpec).
-func RunAsync(cfg AsyncConfig) (*Result, error) {
-	a, err := NewAsyncServer(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return a.Run()
-}
-
-// Run executes the configured number of aggregations.
-func (a *AsyncServer) Run() (*Result, error) {
-	var r runner
-	var err error
-	if a.spec.Runtime == RuntimeBarrier {
-		r, err = newBarrierRunner(a)
-	} else {
-		r, err = newBufferedRunner(a)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return runToCompletion(r)
-}
-
-// barrierRunner is lock-step with a simulated clock in stepper form: the
-// synchronous trajectory priced under the latency model, one round per
-// step.
-type barrierRunner struct {
-	a          *AsyncServer
-	rec        *recorder
-	sp         *shardPool
-	t          int // completed rounds
-	flopsTotal int64
-}
-
-func newBarrierRunner(a *AsyncServer) (*barrierRunner, error) {
-	rec, err := newRecorder(a.s)
-	if err != nil {
-		return nil, err
-	}
-	return &barrierRunner{
-		a:   a,
-		rec: rec,
-		sp:  newShardPool(a.s, a.s.cfg.Shards, a.s.cfg.ClientsPerRound),
-	}, nil
-}
-
-func (r *barrierRunner) server() *Server     { return r.a.s }
-func (r *barrierRunner) recorder() *recorder { return r.rec }
-
-// quiesce is a no-op: the barrier joins every client inside step, so a
-// round boundary has nothing in flight.
-func (r *barrierRunner) quiesce() {}
-
-func (r *barrierRunner) close() {
-	r.sp.close()
-	r.rec.finalize()
-}
-
-func (r *barrierRunner) step() (bool, error) {
-	a, s := r.a, r.a.s
-	cfg := &s.cfg
-	res := r.rec.res
-	if r.t >= cfg.Rounds {
-		return true, nil
-	}
-	t := r.t + 1
-	selected := s.selectClients()
-	if pr, ok := cfg.Algo.(PreRounder); ok {
-		pr.PreRound(t, selected, s.global)
-	}
-	jobs := s.growJobs(len(selected))
-	for i, c := range selected {
-		j := jobs[i]
-		j.c, j.round, j.seq, j.global = c, t, i, s.global
-		j.steps, j.speed = 0, 0
-		a.armJob(j, c.ID)
-		if a.spec.Devices == nil {
-			j.finish = a.now + a.pop.sampleLatency(a.spec.Latency, c.ID, a.latRng)
-		}
-		a.pop.dispatched(c.ID)
-		// All jobs read the same pre-aggregation global; no writer
-		// until every one of them has joined below.
-		r.sp.submit(j)
-	}
-	roundEnd := a.now
-	updates := s.growUpdates(len(jobs))
-	weights := s.growWeights(len(jobs))
-	for i, j := range jobs {
-		<-j.done
-		if a.spec.Devices != nil {
-			// Device-profiled fleet: the round time is the metered
-			// compute itself, not an independent latency draw.
-			j.finish = a.now + a.deviceDuration(j)
-		}
-		if a.spec.Network != nil {
-			// Network-priced fleet: the transfers' time stacks on top of
-			// the compute (or latency-model) duration.
-			j.finish += a.netDuration(j)
-		}
-		a.pop.arrived(j.c.ID, true)
-		if j.finish > roundEnd {
-			roundEnd = j.finish
-		}
-		updates[i] = j.update // staleness 0 by construction
-		j.update = Update{}
-		weights[i] = a.s.policy.Weight(updates[i])
-		r.flopsTotal += j.flops
-		r.rec.addWire(j.downBytes + j.upBytes)
-	}
-	a.now = roundEnd
-	if cfg.OnUpdates != nil {
-		cfg.OnUpdates(t, s.global, updates)
-	}
-	a.aggregate(t, weights, updates, a.s.policy.MergeRate(t, updates))
-	if !tensor.AllFinite(s.global) {
-		return true, fmt.Errorf("core: %s diverged at round %d (non-finite global model)", cfg.Algo.Name(), t)
-	}
-	acc := r.rec.record(t, cfg.Rounds, updates, r.flopsTotal)
-	recycleUpdates(updates)
-	res.SimTimeByRound = append(res.SimTimeByRound, a.now)
-	res.MeanStalenessByRound = append(res.MeanStalenessByRound, 0)
-	if cfg.Logf != nil {
-		cfg.Logf("round %3d/%d algo=%s acc=%.4f loss=%.4f t=%.1fs (barrier)", t, cfg.Rounds, cfg.Algo.Name(), acc, res.TrainLoss[t-1], a.now)
-	}
-	if cfg.OnRound != nil {
-		cfg.OnRound(t, s)
-	}
-	r.t = t
-	if cfg.StopAtTarget && res.RoundsToTarget > 0 {
-		return true, nil
-	}
-	return t >= cfg.Rounds, nil
 }
 
 // bufferedRunner is the event-driven asynchronous loop in stepper form:
@@ -719,7 +487,7 @@ func (r *bufferedRunner) step() (bool, error) {
 			continue
 		}
 		r.buffer = append(r.buffer, j) //fedtripvet:allow grows once to the merge policy's buffer size, then reused at [:0]
-		if !a.s.policy.ReadyToMerge(len(r.buffer)) {
+		if !s.policy.ReadyToMerge(len(r.buffer)) {
 			continue
 		}
 
@@ -735,7 +503,7 @@ func (r *bufferedRunner) step() (bool, error) {
 				u.Staleness = 0
 			}
 			updates[i] = u
-			weights[i] = a.s.policy.Weight(u)
+			weights[i] = s.policy.Weight(u)
 			staleSum += float64(u.Staleness)
 			r.recycleJob(bj)
 		}
@@ -743,7 +511,7 @@ func (r *bufferedRunner) step() (bool, error) {
 		if cfg.OnUpdates != nil {
 			cfg.OnUpdates(t, s.global, updates)
 		}
-		a.aggregate(t, weights, updates, a.s.policy.MergeRate(t, updates))
+		s.merge(t, weights, updates, s.policy.MergeRate(t, updates))
 		if !tensor.AllFinite(s.global) {
 			return true, fmt.Errorf("core: %s diverged at aggregation %d (non-finite global model)", cfg.Algo.Name(), t) //fedtripvet:allow cold terminal error path
 		}
@@ -763,20 +531,6 @@ func (r *bufferedRunner) step() (bool, error) {
 		}
 		return r.aggs >= cfg.Rounds, nil
 	}
-}
-
-// aggregate merges a buffer. An Algorithm's Aggregator override wins (it
-// sees Update.Staleness); otherwise the policy's weights and merge rate
-// go through the shared weighted average. Validate rejects Aggregator
-// methods in buffered mode, so the override branch is only reachable from
-// the barrier loop, where no client is in flight.
-func (a *AsyncServer) aggregate(t int, weights []float64, updates []Update, eta float64) {
-	if agg, ok := a.s.cfg.Algo.(Aggregator); ok {
-		next := agg.Aggregate(t, a.s.global, updates)
-		copy(a.s.global, next)
-		return
-	}
-	a.s.aggregateWeightedRate(weights, updates, eta)
 }
 
 // pickAvailable draws one idle client uniformly at random (the async

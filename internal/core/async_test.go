@@ -6,49 +6,36 @@ import (
 	"testing"
 )
 
-// asyncTestConfig wraps testConfig's Config into async defaults.
-func asyncTestConfig(t *testing.T, algo Algorithm) AsyncConfig {
+// asyncTestConfig wraps testConfig's Config into a buffered-async spec.
+func asyncTestConfig(t *testing.T, algo Algorithm) RunSpec {
 	t.Helper()
-	return AsyncConfig{Config: testConfig(t, algo)}
+	return RunSpec{Config: testConfig(t, algo), Runtime: RuntimeAsync}
 }
 
-// The headline equivalence: the async runtime in barrier mode with zero
-// latency must reproduce the synchronous Server.Run trajectory bit-for-bit
-// on the same seed — same accuracies, losses, FLOPs, and comm bytes.
+// The headline equivalence: the barrier runtime with zero latency must
+// reproduce the sync runtime's trajectory bit-for-bit on the same seed —
+// same accuracies, losses, FLOPs, and comm bytes — with a clock that
+// never moves. Only the barrier records the clock series.
 func TestAsyncBarrierZeroLatencyMatchesSync(t *testing.T) {
-	syncRes, err := Run(testConfig(t, NewFedTrip(0.4)))
+	syncRes, err := Start(RunSpec{Config: testConfig(t, NewFedTrip(0.4))})
 	if err != nil {
 		t.Fatal(err)
 	}
-	acfg := asyncTestConfig(t, NewFedTrip(0.4))
-	acfg.RoundBarrier = true
-	asyncRes, err := RunAsync(acfg)
+	barrierRes, err := Start(RunSpec{Config: testConfig(t, NewFedTrip(0.4)), Runtime: RuntimeBarrier})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if asyncRes.Rounds != syncRes.Rounds {
-		t.Fatalf("rounds %d vs %d", asyncRes.Rounds, syncRes.Rounds)
+	resultsEqual(t, barrierRes, syncRes, "barrier, zero latency")
+	if len(barrierRes.SimTimeByRound) != barrierRes.Rounds || len(barrierRes.MeanStalenessByRound) != barrierRes.Rounds {
+		t.Fatalf("barrier clock series %d/%d long, want %d", len(barrierRes.SimTimeByRound), len(barrierRes.MeanStalenessByRound), barrierRes.Rounds)
 	}
-	for i := range syncRes.Accuracy {
-		if asyncRes.Accuracy[i] != syncRes.Accuracy[i] {
-			t.Fatalf("round %d accuracy %v vs sync %v", i+1, asyncRes.Accuracy[i], syncRes.Accuracy[i])
-		}
-		if asyncRes.TrainLoss[i] != syncRes.TrainLoss[i] {
-			t.Fatalf("round %d loss %v vs sync %v", i+1, asyncRes.TrainLoss[i], syncRes.TrainLoss[i])
-		}
-		if asyncRes.GFLOPsByRound[i] != syncRes.GFLOPsByRound[i] {
-			t.Fatalf("round %d gflops %v vs sync %v", i+1, asyncRes.GFLOPsByRound[i], syncRes.GFLOPsByRound[i])
-		}
-		if asyncRes.CommBytesByRound[i] != syncRes.CommBytesByRound[i] {
-			t.Fatalf("round %d comm %v vs sync %v", i+1, asyncRes.CommBytesByRound[i], syncRes.CommBytesByRound[i])
-		}
-		if asyncRes.SimTimeByRound[i] != 0 {
-			t.Fatalf("zero latency but sim time %v", asyncRes.SimTimeByRound[i])
+	for i, ts := range barrierRes.SimTimeByRound {
+		if ts != 0 {
+			t.Fatalf("zero latency but sim time %v at round %d", ts, i+1)
 		}
 	}
-	if asyncRes.BestAccuracy != syncRes.BestAccuracy || asyncRes.FinalAccuracy != syncRes.FinalAccuracy {
-		t.Fatalf("summary metrics differ: best %v/%v final %v/%v",
-			asyncRes.BestAccuracy, syncRes.BestAccuracy, asyncRes.FinalAccuracy, syncRes.FinalAccuracy)
+	if syncRes.SimTimeByRound != nil || syncRes.MeanStalenessByRound != nil {
+		t.Fatal("the sync runtime has no clock but recorded clock series")
 	}
 }
 
@@ -56,7 +43,7 @@ func TestAsyncBarrierZeroLatencyMatchesSync(t *testing.T) {
 // keep a monotone simulated clock, record nonnegative staleness, and
 // still learn.
 func TestAsyncBufferedStragglersLearnAndMeter(t *testing.T) {
-	build := func() AsyncConfig {
+	build := func() RunSpec {
 		acfg := asyncTestConfig(t, NewFedTrip(0.4))
 		acfg.Rounds = 12
 		acfg.Concurrency = 4
@@ -64,7 +51,7 @@ func TestAsyncBufferedStragglersLearnAndMeter(t *testing.T) {
 		acfg.Latency = StragglerLatency{Fast: 1, Slow: 10, SlowEvery: 3}
 		return acfg
 	}
-	res, err := RunAsync(build())
+	res, err := Start(build())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +78,7 @@ func TestAsyncBufferedStragglersLearnAndMeter(t *testing.T) {
 		t.Fatalf("async run failed to learn: %v", res.BestAccuracy)
 	}
 	// Determinism: the whole trajectory must replay exactly.
-	res2, err := RunAsync(build())
+	res2, err := Start(build())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +127,7 @@ func TestAsyncStalenessBookkeepingMatchesLastRound(t *testing.T) {
 		}
 		mu.Unlock()
 	}
-	if _, err := RunAsync(acfg); err != nil {
+	if _, err := Start(acfg); err != nil {
 		t.Fatal(err)
 	}
 	if len(merged) == 0 {
@@ -185,7 +172,7 @@ func TestAsyncExercisesXiGaps(t *testing.T) {
 	acfg.Concurrency = 2 // 2 of 6 clients in flight: most sit out each round
 	acfg.BufferSize = 2
 	acfg.Latency = ExponentialLatency{Mean: 2}
-	if _, err := RunAsync(acfg); err != nil {
+	if _, err := Start(acfg); err != nil {
 		t.Fatal(err)
 	}
 	maxGap := 0
@@ -206,23 +193,23 @@ func TestAsyncExercisesXiGaps(t *testing.T) {
 	}
 }
 
-func TestAsyncConfigValidation(t *testing.T) {
+func TestAsyncSpecValidation(t *testing.T) {
 	cases := []struct {
 		name    string
-		mutate  func(*AsyncConfig)
+		mutate  func(*RunSpec)
 		wantErr bool
 	}{
-		{"defaults", func(c *AsyncConfig) {}, false},
-		{"explicit", func(c *AsyncConfig) { c.Concurrency = 2; c.BufferSize = 3 }, false},
-		{"concurrency over population", func(c *AsyncConfig) { c.Concurrency = 7 }, true},
-		{"negative concurrency", func(c *AsyncConfig) { c.Concurrency = -1 }, true},
-		{"negative buffer", func(c *AsyncConfig) { c.BufferSize = -1 }, true},
-		{"bad base config", func(c *AsyncConfig) { c.Rounds = 0 }, true},
+		{"defaults", func(c *RunSpec) {}, false},
+		{"explicit", func(c *RunSpec) { c.Concurrency = 2; c.BufferSize = 3 }, false},
+		{"concurrency over population", func(c *RunSpec) { c.Concurrency = 7 }, true},
+		{"negative concurrency", func(c *RunSpec) { c.Concurrency = -1 }, true},
+		{"negative buffer", func(c *RunSpec) { c.BufferSize = -1 }, true},
+		{"bad base config", func(c *RunSpec) { c.Rounds = 0 }, true},
 	}
 	for _, tc := range cases {
 		acfg := asyncTestConfig(t, NewFedTrip(0.4))
 		tc.mutate(&acfg)
-		_, err := NewAsyncServer(acfg)
+		err := acfg.Validate()
 		if (err != nil) != tc.wantErr {
 			t.Errorf("%s: err=%v wantErr=%v", tc.name, err, tc.wantErr)
 		}
@@ -259,12 +246,12 @@ func (preAlgo) PreRound(round int, selected []*Client, global []float64) {}
 func TestBufferedModeRejectsServerHookAlgorithms(t *testing.T) {
 	for _, algo := range []Algorithm{aggAlgo{}, preAlgo{}} {
 		acfg := asyncTestConfig(t, algo)
-		if _, err := NewAsyncServer(acfg); err == nil {
+		if err := acfg.Validate(); err == nil {
 			t.Errorf("buffered mode accepted %s", algo.Name())
 		}
 		barrier := asyncTestConfig(t, algo)
-		barrier.RoundBarrier = true
-		if _, err := NewAsyncServer(barrier); err != nil {
+		barrier.Runtime = RuntimeBarrier
+		if err := barrier.Validate(); err != nil {
 			t.Errorf("barrier mode rejected %s: %v", algo.Name(), err)
 		}
 	}
@@ -277,19 +264,19 @@ func TestFullyDiscountedBufferLeavesModelFinite(t *testing.T) {
 	acfg := asyncTestConfig(t, NewFedTrip(0.4))
 	acfg.Rounds = 3
 	acfg.Discount = func(int) float64 { return 0 }
-	a, err := NewAsyncServer(acfg)
+	rs, err := NewRunState(acfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := append([]float64(nil), a.Server().Global()...)
-	res, err := a.Run()
+	before := append([]float64(nil), rs.Server().Global()...)
+	res, err := rs.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Rounds != 3 {
 		t.Fatalf("rounds %d", res.Rounds)
 	}
-	after := a.Server().Global()
+	after := rs.Server().Global()
 	for i := range after {
 		if after[i] != before[i] {
 			t.Fatalf("zero-weight merges moved the global model at %d", i)
@@ -340,7 +327,7 @@ func TestStalenessWeighterOverridesDiscount(t *testing.T) {
 	acfg.BufferSize = 2
 	acfg.Latency = UniformLatency{Min: 1, Max: 9}
 	acfg.Discount = func(int) float64 { t.Fatal("algorithm override must win"); return 0 }
-	if _, err := RunAsync(acfg); err != nil {
+	if _, err := Start(acfg); err != nil {
 		t.Fatal(err)
 	}
 	if len(algo.calls) == 0 {
@@ -358,9 +345,9 @@ func TestAsyncBeatsBarrierWallClockUnderStragglers(t *testing.T) {
 	lat := StragglerLatency{Fast: 1, Slow: 20, SlowEvery: 2} // ids 0,2,4 slow
 	barrier := asyncTestConfig(t, NewFedTrip(0.4))
 	barrier.Rounds = 8
-	barrier.RoundBarrier = true
+	barrier.Runtime = RuntimeBarrier
 	barrier.Latency = lat
-	bres, err := RunAsync(barrier)
+	bres, err := Start(barrier)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +356,7 @@ func TestAsyncBeatsBarrierWallClockUnderStragglers(t *testing.T) {
 	buffered.Concurrency = 3
 	buffered.BufferSize = 3
 	buffered.Latency = lat
-	ares, err := RunAsync(buffered)
+	ares, err := Start(buffered)
 	if err != nil {
 		t.Fatal(err)
 	}

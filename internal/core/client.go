@@ -236,6 +236,9 @@ func (c *Client) LocalTrainSteps(round int, global []float64, maxSteps int) Upda
 	algo.BeginRound(c, round, global)
 	fg, lg := e.fg, e.lg
 	rng := c.RNG()
+	// Dropout masks draw from the client's stream too: the engine's own
+	// stream depends on which shard trained the client before.
+	e.model.SetRNG(rng)
 
 	var lossSum float64
 	var batches int

@@ -40,6 +40,19 @@ func testConfig(t *testing.T, algo Algorithm) Config {
 	}
 }
 
+// policyMerge merges updates the way the lock-step runner does: weights
+// and merge rate from the server's policy, FedAvg on a bare NewServer.
+func policyMerge(s *Server, t int, updates []Update) {
+	if s.policy == nil {
+		s.installPolicy(&FedAvgPolicy{})
+	}
+	weights := make([]float64, len(updates))
+	for i, u := range updates {
+		weights[i] = s.policy.Weight(u)
+	}
+	s.merge(t, weights, updates, s.policy.MergeRate(t, updates))
+}
+
 func TestConfigValidate(t *testing.T) {
 	good := testConfig(t, NewFedTrip(0.4))
 	if err := good.Validate(); err != nil {
@@ -186,7 +199,7 @@ func TestAggregateWeightedByDataSize(t *testing.T) {
 		a[i] = 1
 		b[i] = 4
 	}
-	s.aggregate(1, []Update{
+	policyMerge(s, 1, []Update{
 		{ClientID: 0, Params: a, NumSamples: 30},
 		{ClientID: 1, Params: b, NumSamples: 10},
 	})
@@ -255,11 +268,11 @@ func TestFullGradMatchesManualAndRestores(t *testing.T) {
 }
 
 func TestRunDeterministic(t *testing.T) {
-	r1, err := Run(testConfig(t, NewFedTrip(0.4)))
+	r1, err := Start(RunSpec{Config: testConfig(t, NewFedTrip(0.4))})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(testConfig(t, NewFedTrip(0.4)))
+	r2, err := Start(RunSpec{Config: testConfig(t, NewFedTrip(0.4))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +289,7 @@ func TestRunDeterministic(t *testing.T) {
 func TestRunMetricsShape(t *testing.T) {
 	cfg := testConfig(t, NewFedTrip(0.4))
 	cfg.TargetAccuracy = 0.05 // trivially reachable
-	res, err := Run(cfg)
+	res, err := Start(RunSpec{Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +323,7 @@ func TestStopAtTarget(t *testing.T) {
 	cfg := testConfig(t, NewFedTrip(0.4))
 	cfg.TargetAccuracy = 0.01
 	cfg.StopAtTarget = true
-	res, err := Run(cfg)
+	res, err := Start(RunSpec{Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +334,7 @@ func TestStopAtTarget(t *testing.T) {
 
 func TestCommAccountingFedAvgStyle(t *testing.T) {
 	cfg := testConfig(t, NewFedTrip(0.4)) // no CommCoster: 2 transfers/client
-	res, err := Run(cfg)
+	res, err := Start(RunSpec{Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +360,7 @@ func (poisonAlgo) TransformGrad(c *Client, round int, w, g []float64) {
 
 func TestDivergenceDetected(t *testing.T) {
 	cfg := testConfig(t, poisonAlgo{})
-	res, err := Run(cfg)
+	res, err := Start(RunSpec{Config: cfg})
 	if err != nil {
 		t.Fatalf("non-finite uploads must be rejected, not kill the run: %v", err)
 	}
@@ -367,7 +380,7 @@ func TestDivergenceDetected(t *testing.T) {
 func TestRoundsToTargetUnreached(t *testing.T) {
 	cfg := testConfig(t, NewFedTrip(0.4))
 	cfg.TargetAccuracy = 1.01 // impossible
-	res, err := Run(cfg)
+	res, err := Start(RunSpec{Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +399,7 @@ func TestEvalEverySkipsEvaluations(t *testing.T) {
 	cfg := testConfig(t, NewFedTrip(0.4))
 	cfg.Rounds = 4
 	cfg.EvalEvery = 2
-	res, err := Run(cfg)
+	res, err := Start(RunSpec{Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +423,7 @@ func TestFedTripLearnsEndToEnd(t *testing.T) {
 	}
 	cfg := testConfig(t, NewFedTrip(0.4))
 	cfg.Rounds = 25
-	res, err := Run(cfg)
+	res, err := Start(RunSpec{Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -145,6 +145,7 @@ func (e *engine) detach(c *Client) {
 	c.eng = nil
 	e.counter = nil
 	e.model.SetCounter(nil)
+	e.model.SetRNG(nil)
 	if e.scratchA != nil {
 		e.scratchA.SetCounter(nil)
 		e.scratchB.SetCounter(nil)

@@ -22,6 +22,7 @@ import (
 const (
 	goldenSnapSyncMLP   = "8d9a17b9d58c9b02aafabc900609575e9cd168bbae3f9bb97ffa37b869d32644"
 	goldenSnapAsyncWire = "01ac5ccb6e5666066f25916e6cd7656b70b85c384bcdc779c44da33f355491a0"
+	goldenSnapBarrier   = "297e33d6d31f87d71715181d3c893b892d0efcc2e71656611075d6cec113a237"
 )
 
 func snapshotHash(t *testing.T, spec core.RunSpec, steps int) string {
@@ -92,5 +93,15 @@ func TestGoldenSnapshotAsyncWire(t *testing.T) {
 	spec.Policy = policy
 	if got := snapshotHash(t, spec, 5); got != goldenSnapAsyncWire {
 		t.Fatalf("async wire snapshot sha256 %s, pinned %s: the FTRS bytes changed", got, goldenSnapAsyncWire)
+	}
+}
+
+// TestGoldenSnapshotBarrierWire pins the snapshot bytes of a barrier run
+// with tiered devices and links and top-k error feedback: the clock, the
+// latency stream and the population registry of the barrier body.
+func TestGoldenSnapshotBarrierWire(t *testing.T) {
+	skipOffAMD64(t)
+	if got := snapshotHash(t, barrierWireSpec(t), 2); got != goldenSnapBarrier {
+		t.Fatalf("barrier snapshot sha256 %s, pinned %s: the FTRS bytes changed", got, goldenSnapBarrier)
 	}
 }

@@ -17,8 +17,9 @@ import (
 // shifted every trajectory alike would pass them all. A kernel may only
 // change these constants on purpose, with the change said in CHANGES.md.
 const (
-	goldenSyncCNN  = "a642f4210886d160"
-	goldenAsyncMLP = "9b681ac072e30ccd"
+	goldenSyncCNN     = "a642f4210886d160"
+	goldenAsyncMLP    = "9b681ac072e30ccd"
+	goldenBarrierWire = "1486816d0047ace7"
 )
 
 // goldenSpec is a short run over a fixed synthetic corpus and partition.
@@ -85,4 +86,30 @@ func TestGoldenDigestAsyncMLPTopK(t *testing.T) {
 	spec.BufferSize = 2
 	spec.Latency = core.UniformLatency{Min: 1, Max: 3}
 	requireGolden(t, "async MLP top-k", spec, goldenAsyncMLP)
+}
+
+// barrierWireSpec is a lock-step run priced on the simulated clock:
+// tiered devices set each dispatch's compute time, tiered links add the
+// transfer time of the top-k+EF bytes actually moved.
+func barrierWireSpec(t *testing.T) core.RunSpec {
+	t.Helper()
+	model := nn.ModelSpec{Arch: nn.ArchMLP, Channels: 1, Height: 28, Width: 28, Classes: 10}
+	spec := goldenSpec(t, data.KindMNIST, model, 6, 60)
+	tr, err := comm.ParseTransport("topk:0.01+ef")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Transport = tr
+	spec.Runtime = core.RuntimeBarrier
+	spec.Rounds = 4
+	spec.Devices = core.DefaultTiers()
+	spec.Network = core.DefaultNetTiers()
+	return spec
+}
+
+// TestGoldenDigestBarrierWire pins the barrier runtime: device and
+// network pricing, per-arrival FLOP metering and the simulated clock.
+func TestGoldenDigestBarrierWire(t *testing.T) {
+	skipOffAMD64(t)
+	requireGolden(t, "barrier MLP top-k", barrierWireSpec(t), goldenBarrierWire)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"runtime/pprof"
 	"testing"
 
 	"repro/internal/prng"
@@ -101,12 +102,12 @@ func TestUpdateBuffersNotAliasedSyncRun(t *testing.T) {
 			}
 		}
 	}
-	var err error
-	s, err = NewServer(cfg)
+	rs, err := NewRunState(RunSpec{Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Run(); err != nil {
+	s = rs.Server()
+	if _, err := rs.Run(); err != nil {
 		t.Fatal(err)
 	}
 	reused := false
@@ -137,8 +138,9 @@ func TestUpdateBuffersNotAliasedAsyncRun(t *testing.T) {
 			ptrs[p] = true
 		}
 	}
-	res, err := RunAsync(AsyncConfig{
+	res, err := Start(RunSpec{
 		Config:      cfg,
+		Runtime:     RuntimeAsync,
 		Concurrency: 4,
 		BufferSize:  2,
 		Latency:     UniformLatency{Min: 1, Max: 3},
@@ -184,16 +186,22 @@ func TestLocalTrainSteadyStateAllocFree(t *testing.T) {
 			// and the parallel helpers with the OS threads that run them.
 			train(20)
 			const rounds = 10
+			threads := pprof.Lookup("threadcreate")
 			for attempt := 1; ; attempt++ {
 				var before, after runtime.MemStats
+				threads0 := threads.Count()
 				runtime.ReadMemStats(&before)
 				train(rounds)
 				runtime.ReadMemStats(&after)
-				// A collection inside the window empties the runtime's
-				// central cache of goroutine wait records, so the
-				// parallel helpers' next parks may allocate; measure
-				// again rather than blame LocalTrain.
-				if after.NumGC != before.NumGC && attempt < 3 {
+				// Two kinds of the runtime's own work allocate inside a
+				// window; measure again rather than blame LocalTrain. A
+				// collection empties the runtime's central cache of
+				// goroutine wait records, so the parallel helpers' next
+				// parks may allocate. A new OS thread (started when a
+				// yielding caller wakes an idle P on a loaded machine)
+				// allocates its m and g0.
+				runtimeWork := after.NumGC != before.NumGC || threads.Count() != threads0
+				if runtimeWork && attempt < 3 {
 					continue
 				}
 				if n := after.Mallocs - before.Mallocs; n > 0 {

@@ -27,11 +27,11 @@ func TestAggregatePermutationInvariant(t *testing.T) {
 			}
 			updates[i] = Update{ClientID: i, Params: p, NumSamples: 1 + rng.Intn(100)}
 		}
-		s.aggregate(1, updates)
+		policyMerge(s, 1, updates)
 		first := append([]float64(nil), s.Global()...)
 		shuffled := append([]Update(nil), updates...)
 		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-		s.aggregate(1, shuffled)
+		policyMerge(s, 1, shuffled)
 		return tensor.MaxAbsDiff(first, s.Global()) < 1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
@@ -58,7 +58,7 @@ func TestAggregateIdempotent(t *testing.T) {
 			{ClientID: 0, Params: p, NumSamples: 10},
 			{ClientID: 1, Params: append([]float64(nil), p...), NumSamples: 77},
 		}
-		s.aggregate(1, updates)
+		policyMerge(s, 1, updates)
 		return tensor.MaxAbsDiff(p, s.Global()) < 1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {

@@ -6,8 +6,8 @@ import "fmt"
 type Runtime string
 
 const (
-	// RuntimeSync is the paper's lock-step loop (Server.Run): select K
-	// clients, wait for all of them, aggregate. No simulated clock.
+	// RuntimeSync is the paper's lock-step loop: select K clients, wait
+	// for all of them, aggregate. No simulated clock.
 	RuntimeSync Runtime = "sync"
 	// RuntimeAsync is the event-driven buffered runtime: Concurrency
 	// clients are always in flight under the latency model, and the
@@ -34,8 +34,8 @@ func ParseRuntime(name string) (Runtime, error) {
 
 // RunSpec is the single description of a federated run: the base Config
 // plus the runtime selector, the asynchronous knobs, and the aggregation
-// policy. Start is its entrypoint; Run and RunAsync are thin wrappers
-// over it for the legacy call sites.
+// policy. Start (or NewRunState, for round-at-a-time control) is its
+// entrypoint.
 type RunSpec struct {
 	Config
 	// Runtime picks the execution mode ("" = RuntimeSync).
@@ -338,7 +338,7 @@ func (sp *RunSpec) resolvePolicy() error {
 
 // Start validates the spec and executes the run on the selected runtime.
 // It is the one entrypoint every runtime and policy combination goes
-// through — literally NewRunState + Run; a zero-latency barrier spec
+// through — NewRunState + Run; a zero-latency barrier spec
 // reproduces the synchronous loop bit-for-bit on the same seed. Callers
 // that need round-at-a-time control, checkpointing, or resume use
 // RunState directly.

@@ -27,26 +27,25 @@ func resultsEqual(t *testing.T, got, want *Result, what string) {
 	}
 }
 
-// The facade's sync runtime is the legacy Run, bit-for-bit.
-func TestStartSyncMatchesRun(t *testing.T) {
-	want, err := Run(testConfig(t, NewFedTrip(0.4)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Start(RunSpec{Config: testConfig(t, NewFedTrip(0.4))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resultsEqual(t, got, want, "Start(sync)")
-}
-
 // The acceptance pin: a zero-latency barrier spec through the facade
-// reproduces the synchronous Run bit-for-bit on the same seed.
+// reproduces the synchronous run, driven here one Step at a time,
+// bit-for-bit on the same seed.
 func TestStartBarrierZeroLatencyMatchesRun(t *testing.T) {
-	want, err := Run(testConfig(t, NewFedTrip(0.4)))
+	rs, err := NewRunState(RunSpec{Config: testConfig(t, NewFedTrip(0.4))})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer rs.Close()
+	for {
+		done, err := rs.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if done {
+			break
+		}
+	}
+	want := rs.Finish()
 	got, err := Start(RunSpec{
 		Config:  testConfig(t, NewFedTrip(0.4)),
 		Runtime: RuntimeBarrier,
@@ -58,43 +57,6 @@ func TestStartBarrierZeroLatencyMatchesRun(t *testing.T) {
 	for i, ts := range got.SimTimeByRound {
 		if ts != 0 {
 			t.Fatalf("zero latency but sim time %v at round %d", ts, i+1)
-		}
-	}
-}
-
-// The buffered async runtime through the facade equals the legacy
-// RunAsync on the same knobs.
-func TestStartAsyncMatchesRunAsync(t *testing.T) {
-	build := func() AsyncConfig {
-		acfg := AsyncConfig{Config: testConfig(t, NewFedTrip(0.4))}
-		acfg.Rounds = 8
-		acfg.Concurrency = 4
-		acfg.BufferSize = 2
-		acfg.Latency = StragglerLatency{Fast: 1, Slow: 10, SlowEvery: 3}
-		return acfg
-	}
-	want, err := RunAsync(build())
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy := build()
-	got, err := Start(RunSpec{
-		Config:      legacy.Config,
-		Runtime:     RuntimeAsync,
-		Concurrency: legacy.Concurrency,
-		BufferSize:  legacy.BufferSize,
-		Latency:     legacy.Latency,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resultsEqual(t, got, want, "Start(async)")
-	for i := range want.SimTimeByRound {
-		if got.SimTimeByRound[i] != want.SimTimeByRound[i] {
-			t.Fatalf("round %d sim time %v vs %v", i+1, got.SimTimeByRound[i], want.SimTimeByRound[i])
-		}
-		if got.MeanStalenessByRound[i] != want.MeanStalenessByRound[i] {
-			t.Fatalf("round %d staleness %v vs %v", i+1, got.MeanStalenessByRound[i], want.MeanStalenessByRound[i])
 		}
 	}
 }

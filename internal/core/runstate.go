@@ -1,15 +1,13 @@
 // RunState: the steppable form of a federated run.
 //
-// Historically each runtime was a monolithic loop (Server.Run, the async
-// barrier and buffered loops) that could only be driven start-to-finish.
-// Checkpoint/resume and the run-server both need finer control: advance
-// exactly one round, observe the live metrics at the boundary, serialize
-// the whole run, stop, and later continue bit-for-bit in a fresh process.
-// RunState is that control surface. Each runtime is refactored into a
-// runner — a struct holding the loop's formerly-local state (round
-// counter, event heap, merge buffer, virtual clock) with a step() method
-// that executes exactly one round/aggregation — and RunState fronts the
-// three runners with one facade:
+// Checkpoint/resume and the run-server need finer control than a
+// start-to-finish loop: advance exactly one round, observe the live
+// metrics at the boundary, serialize the whole run, stop, and later
+// continue bit-for-bit in a fresh process. RunState is that control
+// surface. Each runtime is a runner — a struct holding the loop's state
+// (round counter, event heap, merge buffer, virtual clock) with a step()
+// method that executes exactly one round/aggregation — and RunState
+// fronts the two runners with one facade:
 //
 //	rs, _ := core.NewRunState(spec)
 //	for {
@@ -20,9 +18,9 @@
 //	}
 //	res := rs.Finish()
 //
-// Start(spec) is now literally NewRunState + Run, and the legacy
-// Server.Run / AsyncServer.Run entrypoints drive the same runners, so
-// every caller goes through one set of loop bodies.
+// The lock-step runner serves the sync and barrier runtimes (the barrier
+// is the sync loop on a simulated clock); the buffered runner serves the
+// async runtime. Start(spec) is NewRunState + Run, the one entrypoint.
 package core
 
 import (
@@ -73,28 +71,20 @@ func NewRunState(spec RunSpec) (*RunState, error) {
 
 // newRunState builds the runtime from a validated spec.
 func newRunState(spec RunSpec) (*RunState, error) {
-	if spec.Runtime == RuntimeSync {
-		s, err := NewServer(spec.Config)
-		if err != nil {
-			return nil, err
-		}
-		s.installPolicy(spec.Policy)
-		s.installFaults(spec.Faults)
-		r, err := newSyncRunner(s)
-		if err != nil {
-			return nil, err
-		}
-		return &RunState{spec: spec, run: r}, nil
-	}
-	a, err := newAsyncServer(spec)
+	s, err := NewServer(spec.Config)
 	if err != nil {
 		return nil, err
 	}
+	s.installPolicy(spec.Policy)
+	s.installFaults(spec.Faults)
 	var r runner
-	if spec.Runtime == RuntimeBarrier {
-		r, err = newBarrierRunner(a)
-	} else {
-		r, err = newBufferedRunner(a)
+	switch spec.Runtime {
+	case RuntimeSync:
+		r, err = newBarrierRunner(s, nil)
+	case RuntimeBarrier:
+		r, err = newBarrierRunner(s, newAsyncServer(s, spec))
+	default:
+		r, err = newBufferedRunner(newAsyncServer(s, spec))
 	}
 	if err != nil {
 		return nil, err
@@ -128,8 +118,10 @@ func (rs *RunState) Done() bool { return rs.done }
 // Finish, it is live during the run — the run-server's /status reads it.
 func (rs *RunState) LastAccuracy() float64 { return rs.run.recorder().lastAcc }
 
-// async returns the async runtime handle, nil for the sync runtime.
-func (rs *RunState) async() *AsyncServer {
+// Async returns the simulated-clock runtime behind the barrier and async
+// runtimes — fleet statistics (Participation, DeviceSpeeds,
+// PerClientStateBytes) live there — or nil for the sync runtime.
+func (rs *RunState) Async() *AsyncServer {
 	switch r := rs.run.(type) {
 	case *barrierRunner:
 		return r.a
@@ -142,7 +134,7 @@ func (rs *RunState) async() *AsyncServer {
 // Now returns the virtual clock in simulated seconds (0 for the sync
 // runtime, which has none).
 func (rs *RunState) Now() float64 {
-	if a := rs.async(); a != nil {
+	if a := rs.Async(); a != nil {
 		return a.Now()
 	}
 	return 0
@@ -151,7 +143,7 @@ func (rs *RunState) Now() float64 {
 // Offline reports how many clients are currently offline or permanently
 // dropped (0 without a churn process).
 func (rs *RunState) Offline() int {
-	if a := rs.async(); a != nil {
+	if a := rs.Async(); a != nil {
 		return a.Offline()
 	}
 	return 0
@@ -173,7 +165,8 @@ func (rs *RunState) Step() (bool, error) {
 
 // Run drives the remaining rounds to completion and closes the run. On a
 // divergence error the partially-filled Result is returned alongside the
-// error, exactly like the legacy entrypoints.
+// error. Close is deferred so the evaluator goroutine and the shard pool
+// are released even when a user callback or algorithm panics.
 func (rs *RunState) Run() (*Result, error) {
 	defer rs.Close()
 	for {
@@ -206,82 +199,136 @@ func (rs *RunState) Close() {
 	rs.run.close()
 }
 
-// runToCompletion drives a runner start-to-finish — the shared body of
-// the legacy Server.Run / AsyncServer.Run entrypoints.
-func runToCompletion(r runner) (*Result, error) {
-	// close is deferred so the evaluator goroutine and the shard pool are
-	// released even when a user callback or algorithm panics; finalize
-	// (inside close) is idempotent and keeps partial results well-formed.
-	defer r.close()
-	for {
-		done, err := r.step()
-		if err != nil {
-			return r.recorder().res, err
-		}
-		if done {
-			return r.recorder().finish(), nil
-		}
-	}
+// barrierRunner is the paper's lock-step loop in stepper form: one step =
+// select K clients, train them in parallel, wait for all of them,
+// aggregate, record. With a clock (the barrier runtime) each dispatch is
+// also priced in simulated time and the round ends with its slowest
+// client; without one (the sync runtime) there is no population registry
+// and no simulated time. A zero-latency clock leaves the trajectory
+// bit-for-bit that of the sync runtime.
+type barrierRunner struct {
+	s          *Server
+	a          *AsyncServer // simulated clock; nil for RuntimeSync
+	rec        *recorder
+	sp         *shardPool
+	t          int // completed rounds
+	flopsTotal int64
 }
 
-// syncRunner is the paper's lock-step loop in stepper form: one step =
-// select K clients, train them in parallel, aggregate, record.
-type syncRunner struct {
-	s   *Server
-	rec *recorder
-	sp  *shardPool
-	t   int // completed rounds
-}
-
-func newSyncRunner(s *Server) (*syncRunner, error) {
+func newBarrierRunner(s *Server, a *AsyncServer) (*barrierRunner, error) {
 	rec, err := newRecorder(s)
 	if err != nil {
 		return nil, err
 	}
-	return &syncRunner{
+	return &barrierRunner{
 		s:   s,
+		a:   a,
 		rec: rec,
 		sp:  newShardPool(s, s.cfg.Shards, s.cfg.ClientsPerRound),
 	}, nil
 }
 
-func (r *syncRunner) server() *Server     { return r.s }
-func (r *syncRunner) recorder() *recorder { return r.rec }
+func (r *barrierRunner) server() *Server     { return r.s }
+func (r *barrierRunner) recorder() *recorder { return r.rec }
 
-// quiesce is a no-op: the sync loop joins every client inside step, so a
+// quiesce is a no-op: the barrier joins every client inside step, so a
 // round boundary has nothing in flight.
-func (r *syncRunner) quiesce() {}
+func (r *barrierRunner) quiesce() {}
 
-func (r *syncRunner) close() {
+func (r *barrierRunner) close() {
 	r.sp.close()
 	r.rec.finalize()
 }
 
-func (r *syncRunner) step() (bool, error) {
-	s, cfg, rec, res := r.s, &r.s.cfg, r.rec, r.rec.res
+// countedFlops sums the FLOP counters of the given clients.
+func countedFlops(cs []*Client) int64 {
+	var fl int64
+	for _, c := range cs {
+		fl += c.Counter.Total()
+	}
+	return fl
+}
+
+func (r *barrierRunner) step() (bool, error) {
+	s, a := r.s, r.a
+	cfg := &s.cfg
+	res := r.rec.res
 	if r.t >= cfg.Rounds {
 		return true, nil
 	}
 	t := r.t + 1
 	selected := s.selectClients()
 	if pr, ok := cfg.Algo.(PreRounder); ok {
+		// A pre-round phase (FedDANE's and MimeLite's gradient exchange)
+		// is client work too: meter it with the round's training.
+		before := countedFlops(selected)
 		pr.PreRound(t, selected, s.global)
+		r.flopsTotal += countedFlops(selected) - before
 	}
-	updates, wire := s.trainSelected(t, selected, r.sp)
-	rec.addWire(wire)
+	jobs := s.growJobs(len(selected))
+	for i, c := range selected {
+		j := jobs[i]
+		j.c, j.round, j.seq, j.global = c, t, i, s.global
+		j.steps, j.speed = 0, 0
+		if a != nil {
+			a.armJob(j, c.ID)
+			if a.spec.Devices == nil {
+				j.finish = a.now + a.pop.sampleLatency(a.spec.Latency, c.ID, a.latRng)
+			}
+			a.pop.dispatched(c.ID)
+		}
+		// All jobs read the same pre-aggregation global; no writer until
+		// every one of them has joined below.
+		r.sp.submit(j)
+	}
+	var roundEnd float64
+	if a != nil {
+		roundEnd = a.now
+	}
+	updates := s.growUpdates(len(jobs))
+	weights := s.growWeights(len(jobs))
+	for i, j := range jobs {
+		<-j.done
+		if a != nil {
+			if a.spec.Devices != nil {
+				// Device-profiled fleet: the round time is the metered
+				// compute itself, not an independent latency draw.
+				j.finish = a.now + a.deviceDuration(j)
+			}
+			// Network-priced fleet: the transfers' time stacks on top of
+			// the compute (or latency-model) duration.
+			j.finish += a.netDuration(j)
+			a.pop.arrived(j.c.ID, true)
+			if j.finish > roundEnd {
+				roundEnd = j.finish
+			}
+		}
+		updates[i] = j.update // staleness 0 by construction
+		j.update = Update{}
+		weights[i] = s.policy.Weight(updates[i])
+		r.flopsTotal += j.flops
+		r.rec.addWire(j.downBytes + j.upBytes)
+	}
+	if a != nil {
+		a.now = roundEnd
+	}
 	if cfg.OnUpdates != nil {
 		cfg.OnUpdates(t, s.global, updates)
 	}
-	s.aggregate(t, updates)
+	s.merge(t, weights, updates, s.policy.MergeRate(t, updates))
 	if !tensor.AllFinite(s.global) {
 		return true, fmt.Errorf("core: %s diverged at round %d (non-finite global model)", cfg.Algo.Name(), t)
 	}
-	acc := rec.record(t, cfg.Rounds, updates, s.clientFlopsTotal())
+	acc := r.rec.record(t, cfg.Rounds, updates, r.flopsTotal)
 	// The merge and metrics have consumed this round's uploads; their
 	// buffers go back to the pool for the next round's checkouts.
 	recycleUpdates(updates)
+	if a != nil {
+		res.SimTimeByRound = append(res.SimTimeByRound, a.now)
+		res.MeanStalenessByRound = append(res.MeanStalenessByRound, 0)
+	}
 	if cfg.Logf != nil {
-		cfg.Logf("round %3d/%d algo=%s acc=%.4f loss=%.4f gflops=%.2f", t, cfg.Rounds, cfg.Algo.Name(), acc, res.TrainLoss[t-1], res.GFLOPsByRound[t-1])
+		cfg.Logf("round %3d/%d algo=%s acc=%.4f loss=%.4f gflops=%.2f t=%.1fs", t, cfg.Rounds, cfg.Algo.Name(), acc, res.TrainLoss[t-1], res.GFLOPsByRound[t-1], roundEnd)
 	}
 	if cfg.OnRound != nil {
 		cfg.OnRound(t, s)

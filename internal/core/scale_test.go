@@ -13,7 +13,7 @@ import (
 // scaleConfig builds a 1000-client fleet with tiny per-client datasets and
 // a quarter-width MLP — big enough to exercise the population machinery,
 // small enough for CI.
-func scaleConfig(t *testing.T, shards int) AsyncConfig {
+func scaleConfig(t *testing.T, shards int) RunSpec {
 	t.Helper()
 	const clients, perClient = 1000, 4
 	train, test, err := data.Generate(data.Spec{
@@ -27,7 +27,8 @@ func scaleConfig(t *testing.T, shards int) AsyncConfig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return AsyncConfig{
+	return RunSpec{
+		Runtime: RuntimeAsync,
 		Config: Config{
 			Model: nn.ModelSpec{
 				Arch: nn.ArchMLP, Channels: 1, Height: 28, Width: 28, Classes: 10, Scale: 0.25,
@@ -53,11 +54,11 @@ func TestThousandClientBufferedRun(t *testing.T) {
 		t.Skip("short mode")
 	}
 	acfg := scaleConfig(t, 0)
-	a, err := NewAsyncServer(acfg)
+	rs, err := NewRunState(acfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := a.Run()
+	res, err := rs.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestThousandClientBufferedRun(t *testing.T) {
 		}
 		prev = ts
 	}
-	distinct, dispatches := a.Participation()
+	distinct, dispatches := rs.Async().Participation()
 	// 6 aggregations x 16 arrivals + up to 64 still in flight.
 	if dispatches < int64(acfg.Rounds*acfg.BufferSize) {
 		t.Fatalf("only %d dispatches recorded", dispatches)
@@ -91,7 +92,7 @@ func TestShardCountDoesNotChangeTrajectory(t *testing.T) {
 		t.Skip("short mode")
 	}
 	run := func(shards int) *Result {
-		res, err := RunAsync(scaleConfig(t, shards))
+		res, err := Start(scaleConfig(t, shards))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,6 +113,42 @@ func TestShardCountDoesNotChangeTrajectory(t *testing.T) {
 		if r1.GFLOPsByRound[i] != r3.GFLOPsByRound[i] {
 			t.Fatalf("aggregation %d FLOPs differ across shard counts", i+1)
 		}
+	}
+	// Dropout masks come from the client's stream too, not from the shard
+	// engine's model: an AlexNet run has one digest at any shard count.
+	d1, err := Start(RunSpec{Config: alexNetConfig(t, 3, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d3, err := Start(RunSpec{Config: alexNetConfig(t, 3, 3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d1.Digest() != d3.Digest() {
+		t.Fatalf("AlexNet digest %s with 1 shard, %s with 3: dropout masks follow the shard", d1.Digest(), d3.Digest())
+	}
+}
+
+// alexNetConfig is a short run of the eighth-width AlexNet, whose
+// classifier carries dropout, on 32x32 color images.
+func alexNetConfig(t *testing.T, rounds, shards int) Config {
+	t.Helper()
+	train, test, err := data.Generate(data.Spec{Kind: data.KindCIFAR, Train: 120, Test: 40, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err := partition.Partition(partition.IID(), train.Y, train.Classes, 6, 20, rand.New(rand.NewSource(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Config{
+		Model: nn.ModelSpec{Arch: nn.ArchAlexNet, Channels: 3, Height: 32, Width: 32, Classes: 10, Scale: 0.125},
+		Train: train, Test: test, Parts: parts,
+		Rounds: rounds, ClientsPerRound: 3,
+		BatchSize: 10, LocalEpochs: 1,
+		LR: 0.01, Momentum: 0.9,
+		Algo: NewFedTrip(0.4), Seed: 1,
+		Shards: shards,
 	}
 }
 

@@ -988,17 +988,14 @@ func readChurn(sr *snapReader, c *churn) {
 
 // --- per-runner bodies ---
 
-func (r *syncRunner) snapshotBody(sw *snapWriter) {
-	sw.num(r.t)
-}
-
-func (r *syncRunner) restoreBody(sr *snapReader) error {
-	r.t = sr.num("completed rounds")
-	return sr.err
-}
-
+// The sync body is the round counter alone: without a clock the FLOP
+// total is the sum of the per-client counters, which restoreCommon has
+// already brought back.
 func (r *barrierRunner) snapshotBody(sw *snapWriter) {
 	sw.num(r.t)
+	if r.a == nil {
+		return
+	}
 	sw.i64(r.flopsTotal)
 	sw.f64(r.a.now)
 	sw.rngState(r.a.latRng.State())
@@ -1007,6 +1004,10 @@ func (r *barrierRunner) snapshotBody(sw *snapWriter) {
 
 func (r *barrierRunner) restoreBody(sr *snapReader) error {
 	r.t = sr.num("completed rounds")
+	if r.a == nil {
+		r.flopsTotal = countedFlops(r.s.clients)
+		return sr.err
+	}
 	r.flopsTotal = sr.i64()
 	r.a.now = sr.f64()
 	r.a.latRng.SetState(sr.rngState())

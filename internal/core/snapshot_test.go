@@ -169,6 +169,33 @@ func TestResumeEquivalenceSync(t *testing.T) {
 	runResumeScenario(t, RunSpec{Config: cfg}, 3)
 }
 
+// TestResumeEquivalenceDropout: dropout masks draw from the client's
+// stream, which the snapshot carries, so a dropout model resumes exactly.
+func TestResumeEquivalenceDropout(t *testing.T) {
+	runResumeScenario(t, RunSpec{Config: alexNetConfig(t, 4, 2)}, 2)
+}
+
+// TestResumeEquivalenceBarrier: the lock-step runner on the simulated
+// clock must resume bit for bit, both under a latency model (the latency
+// stream's position) and under device plus network pricing.
+func TestResumeEquivalenceBarrier(t *testing.T) {
+	t.Run("latency", func(t *testing.T) {
+		runResumeScenario(t, RunSpec{
+			Config:  snapTestConfig(t, 6),
+			Runtime: RuntimeBarrier,
+			Latency: ExponentialLatency{Mean: 2},
+		}, 3)
+	})
+	t.Run("devices+network", func(t *testing.T) {
+		runResumeScenario(t, RunSpec{
+			Config:  snapTestConfig(t, 6),
+			Runtime: RuntimeBarrier,
+			Devices: DefaultTiers(),
+			Network: DefaultNetTiers(),
+		}, 3)
+	})
+}
+
 func TestResumeEquivalenceAsyncFedBuff(t *testing.T) {
 	cfg := snapTestConfig(t, 8)
 	runResumeScenario(t, RunSpec{

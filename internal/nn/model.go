@@ -141,6 +141,22 @@ func (m *Model) ParamsCopy() []float64 {
 // SetCounter installs a FLOP counter; nil disables metering.
 func (m *Model) SetCounter(c *flops.Counter) { m.counter = c }
 
+// SetRNG points the model's stochastic layers (dropout masks) at r, so
+// their draws follow the caller's stream instead of the model's own; nil
+// restores the model's own stream. A model shared between federated
+// clients takes each client's stream while it trains that client, which
+// keeps masks independent of which model instance did the work.
+func (m *Model) SetRNG(r *prng.Rand) {
+	if r == nil {
+		r = m.rng
+	}
+	for _, l := range m.layers {
+		if d, ok := l.(*dropoutLayer); ok {
+			d.rng = r
+		}
+	}
+}
+
 // Cost returns the analytic per-sample cost (Table III row).
 func (m *Model) Cost() flops.ModelCost {
 	return flops.ModelCost{

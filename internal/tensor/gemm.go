@@ -54,8 +54,9 @@ const (
 )
 
 // gemmScratch is one worker's packing storage. Buffers grow to the
-// high-water mark and are recycled through gemmScratches, so steady-state
-// GEMM calls allocate nothing.
+// high-water mark, so steady-state GEMM calls allocate nothing. Serial
+// calls recycle theirs through gemmScratches; parallel chunks use the
+// scratch their gemmJob keeps per chunk.
 type gemmScratch struct {
 	a, b []float64
 	tile [gemmMR * gemmNR]float64
@@ -96,19 +97,26 @@ func gemm(cd []float64, m, n, k int, ad []float64, ars, acs int, bd []float64, b
 	}
 	mTiles := (m + gemmMR - 1) / gemmMR
 	if parallel.Serial(mTiles, gemmParMin) {
-		gemmRows(cd, 0, m, n, k, ad, ars, acs, bd, brs, bcs, bias, accumulate)
+		sc := gemmScratches.Get()
+		gemmRows(sc, cd, 0, m, n, k, ad, ars, acs, bd, brs, bcs, bias, accumulate)
+		gemmScratches.Put(sc)
 		return
 	}
 	j := gemmJobs.Get()
-	*j = gemmJob{cd, m, n, k, ad, ars, acs, bd, brs, bcs, bias, accumulate}
-	parallel.RunChunked(mTiles, gemmParMin, j)
-	*j = gemmJob{}
+	j.op = gemmOp{cd, m, n, k, ad, ars, acs, bd, brs, bcs, bias, accumulate}
+	chunks := min(parallel.Workers(), mTiles)
+	j.size = (mTiles + chunks - 1) / chunks
+	chunks = (mTiles + j.size - 1) / j.size
+	for len(j.scratch) < chunks {
+		j.scratch = append(j.scratch, new(gemmScratch)) //fedtripvet:allow one scratch per chunk, grows to GOMAXPROCS once
+	}
+	parallel.RunChunked(chunks, 1, j)
+	j.op = gemmOp{}
 	gemmJobs.Put(j)
 }
 
-// gemmJob carries one parallel gemm call's operands to the row-tile
-// chunks. Jobs are pooled, so the parallel path allocates nothing.
-type gemmJob struct {
+// gemmOp is one gemm call's operands.
+type gemmOp struct {
 	cd         []float64
 	m, n, k    int
 	ad         []float64
@@ -119,14 +127,32 @@ type gemmJob struct {
 	accumulate bool
 }
 
+// gemmJob carries one parallel gemm call's operands to its row-tile
+// chunks. Chunk c always covers the same rows of a given shape and packs
+// into its own scratch[c], so each scratch reaches its high-water mark
+// the first time the job runs a shape, whichever goroutine claims the
+// chunk. Jobs are pooled, so the parallel path allocates nothing once
+// every shape has run.
+type gemmJob struct {
+	op      gemmOp
+	size    int // row tiles per chunk
+	scratch []*gemmScratch
+}
+
 var gemmJobs parallel.FreeList[gemmJob]
 
-// Chunk runs the row tiles [tlo, thi).
+// Chunk runs chunks [clo, chi): clo alone when the pool has a goroutine
+// per chunk, several in order when GOMAXPROCS shrank since gemm split the
+// rows.
 //
 //fedtripvet:hotpath
-func (j *gemmJob) Chunk(tlo, thi int) {
-	ilo, ihi := tlo*gemmMR, min(thi*gemmMR, j.m)
-	gemmRows(j.cd, ilo, ihi, j.n, j.k, j.ad, j.ars, j.acs, j.bd, j.brs, j.bcs, j.bias, j.accumulate)
+func (j *gemmJob) Chunk(clo, chi int) {
+	o := &j.op
+	for c := clo; c < chi; c++ {
+		ilo := c * j.size * gemmMR
+		ihi := min(ilo+j.size*gemmMR, o.m)
+		gemmRows(j.scratch[c], o.cd, ilo, ihi, o.n, o.k, o.ad, o.ars, o.acs, o.bd, o.brs, o.bcs, o.bias, o.accumulate)
+	}
 }
 
 // gemvN1 handles n == 1 (C is a column vector): a row-major A runs one dot
@@ -217,8 +243,7 @@ func gemvM1(cd []float64, n, k int, ad []float64, acs int, bd []float64, brs int
 // micro-tiles never straddle workers.
 //
 //fedtripvet:hotpath
-func gemmRows(cd []float64, ilo, ihi, n, k int, ad []float64, ars, acs int, bd []float64, brs, bcs int, bias []float64, accumulate bool) {
-	sc := gemmScratches.Get()
+func gemmRows(sc *gemmScratch, cd []float64, ilo, ihi, n, k int, ad []float64, ars, acs int, bd []float64, brs, bcs int, bias []float64, accumulate bool) {
 	if !accumulate {
 		gemmInit(cd, ilo, ihi, n, bias)
 	}
@@ -243,7 +268,6 @@ func gemmRows(cd []float64, ilo, ihi, n, k int, ad []float64, ars, acs int, bd [
 			}
 		}
 	}
-	gemmScratches.Put(sc)
 }
 
 // gemmInit prepares the C rows a worker owns: zeroed, or set to the bias
